@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet fuzz-smoke diff-smoke bench stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts ci
+.PHONY: all build test race vet fuzz-smoke diff-smoke bench bench-selftest stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts ci
 
 all: build
 
@@ -19,7 +19,8 @@ race:
 
 # Short fuzz pass over the decoder and data-structure targets: the
 # assembler/disassembler round trips, the RLP and consensus-type
-# decoders, and the multi-version memory against its sequential oracle.
+# decoders, the multi-version memory against its sequential oracle, and
+# the indexed conflict-DAG builder against the pairwise one.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
@@ -27,6 +28,7 @@ fuzz-smoke:
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeTransactionRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeBlockRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzMVMemory -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/state -run '^$$' -fuzz FuzzConflictDAG -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/arch -run '^$$' -fuzz FuzzSymbolTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzDiffEngines -fuzztime $(FUZZTIME)
 
@@ -40,6 +42,11 @@ diff-smoke:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# The block-stream benchmark (bench/) is its own module, so the root
+# `go test ./...` never reaches its self-test.
+bench-selftest:
+	cd bench && $(GO) test ./...
 
 # Run a small instrumented workload, write the counter report, and
 # validate it against the JSON schema (strict decode + invariants).
@@ -119,4 +126,4 @@ validate-artifacts:
 	$(GO) run ./cmd/mtpu-bench -validate BENCH_sweeps.json
 	$(GO) run ./cmd/mtpu-bench -validate BENCH_perf.json
 
-ci: vet build race diff-smoke fuzz-smoke stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts
+ci: vet build race bench-selftest diff-smoke fuzz-smoke stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts

@@ -16,6 +16,9 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/evm"
 	"mtpu/internal/experiments"
+	"mtpu/internal/mvstate"
+	"mtpu/internal/state"
+	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
 
@@ -402,4 +405,66 @@ func BenchmarkPURunWarm(b *testing.B) {
 			unit.Run(p, mem)
 		}
 	}
+}
+
+// bigBlock returns the first blocks of the benchmark's erc20-bigblock
+// shape (bench/workloads.go): 192 Zipf-hot erc20-mix transactions over
+// 256 accounts, with the genesis they chain from.
+func bigBlock(b *testing.B, blocks int) (*state.StateDB, []*types.Block) {
+	b.Helper()
+	src, err := workload.ScenarioSpec{Scenario: "erc20-mix", Blocks: blocks, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.Open()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]*types.Block, 0, blocks)
+	for {
+		blk, ok := src.Next()
+		if !ok {
+			return src.Genesis(), out
+		}
+		out = append(out, blk)
+	}
+}
+
+// BenchmarkLearnHotspotsWarm measures the execute stage's Contract-Table
+// learn on a block whose execution paths the table already holds — the
+// steady state of a stream, where nearly every trace repeats a path.
+func BenchmarkLearnHotspotsWarm(b *testing.B) {
+	genesis, blocks := bigBlock(b, 2)
+	st := genesis.Copy()
+	acc := core.New(arch.DefaultConfig())
+	var traces []*arch.TxTrace
+	for _, blk := range blocks {
+		var err error
+		if traces, _, _, err = core.CollectTracesOn(st, blk); err != nil {
+			b.Fatal(err)
+		}
+		acc.LearnHotspots(traces, 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.LearnHotspots(traces, 8)
+	}
+	analyzed, reused := acc.Table.LearnCounts()
+	b.ReportMetric(float64(reused)/float64(analyzed+reused), "reused_ratio")
+}
+
+// BenchmarkPrepareBlock192 measures the decode of one 192-transaction
+// block: the sequential EVM trace pass plus the conflict-DAG build.
+func BenchmarkPrepareBlock192(b *testing.B) {
+	genesis, blocks := bigBlock(b, 1)
+	head := mvstate.SnapshotOf(genesis)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PrepareBlock(head, blocks[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var edges int
+	for _, deps := range blocks[0].DAG.Deps {
+		edges += len(deps)
+	}
+	b.ReportMetric(float64(edges)/float64(len(blocks[0].Transactions)), "dag_edges/tx")
 }

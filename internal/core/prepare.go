@@ -74,15 +74,7 @@ func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error)
 		traces[i] = col.Finish(r.GasUsed)
 	}
 
-	block.DAG = types.NewDAG(n)
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			if writes[i].Overlaps(reads[j]) || writes[i].Overlaps(writes[j]) ||
-				reads[i].Overlaps(writes[j]) {
-				block.DAG.AddEdge(i, j)
-			}
-		}
-	}
+	block.DAG = state.ConflictDAG(reads, writes)
 
 	p := &Prepared{
 		Traces:    traces,

@@ -3,6 +3,8 @@ package hotspot_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"mtpu/internal/arch"
@@ -97,5 +99,50 @@ func TestMarshalJSONDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a1, r1) {
 		t.Fatal("round-tripped table serializes differently")
+	}
+}
+
+// TestLearnScheduleIndependent feeds one table from a single goroutine
+// and another from several that take turns in whatever order the
+// scheduler grants the lock. Which trace of a path arrives first — and
+// so which one is analysed and which only counted — differs between
+// runs; the tables and their learn accounting must not.
+func TestLearnScheduleIndependent(t *testing.T) {
+	traces := determinismTraces(t)
+	serial := learn(traces)
+	want, err := serial.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAnalyzed, wantReused := serial.LearnCounts()
+
+	for run := 0; run < 4; run++ {
+		const workers = 4
+		table := hotspot.NewContractTable()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(traces); i += workers {
+					mu.Lock()
+					table.Learn(traces[i])
+					mu.Unlock()
+					runtime.Gosched()
+				}
+			}(w)
+		}
+		wg.Wait()
+		got, err := table.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: table depends on the goroutine schedule", run)
+		}
+		if a, r := table.LearnCounts(); a != wantAnalyzed || r != wantReused {
+			t.Fatalf("run %d: analyzed %d reused %d, serial feed had %d and %d", run, a, r, wantAnalyzed, wantReused)
+		}
 	}
 }

@@ -36,12 +36,19 @@ type PathInfo struct {
 	LoadFrac map[types.Address]float64
 	// Samples counts traces merged into this entry.
 	Samples int
+
+	// paths are the execution paths already merged (see path.go).
+	paths []learnedPath
 }
 
 // ContractTable persists hotspot execution information across blocks
 // (§3.4.1); it is built offline during the block interval.
 type ContractTable struct {
 	entries map[Key]*PathInfo
+
+	// analyzed and reused split the traces Learn accepted into those it
+	// ran the analyser on and those whose path an entry already held.
+	analyzed, reused uint64
 }
 
 // NewContractTable returns an empty table.
@@ -72,14 +79,45 @@ func (t *ContractTable) Lookup(addr types.Address, sel [4]byte) *PathInfo {
 	return t.entries[Key{addr, sel}]
 }
 
-// Learn analyzes a profiled trace and merges it into the table. Repeated
-// learning on diverging traces intersects the annotation sets (only facts
-// that held on every sample survive).
+// Learn merges a profiled trace into the table. Repeated learning on
+// diverging traces intersects the annotation sets (only facts that held
+// on every sample survive). A trace whose execution path the entry has
+// merged before is only counted: re-merging it would change nothing.
 func (t *ContractTable) Learn(trace *arch.TxTrace) *PathInfo {
 	if !trace.HasSelector || len(trace.Steps) == 0 {
 		return nil
 	}
 	key := Key{trace.Contract, trace.Selector}
+	hash := pathHash(trace)
+	if info := t.entries[key]; info != nil && info.merged(hash, trace) {
+		info.Samples++
+		t.reused++
+		return info
+	}
+	info := t.analyze(key, trace)
+	t.analyzed++
+	info.remember(hash, trace)
+	return info
+}
+
+// LearnCounts returns how many traces Learn has analysed and how many
+// it recognised as an already merged path, since the table was made.
+func (t *ContractTable) LearnCounts() (analyzed, reused uint64) {
+	return t.analyzed, t.reused
+}
+
+// Samples returns the number of traces merged into the table.
+func (t *ContractTable) Samples() uint64 {
+	var n uint64
+	for _, info := range t.entries {
+		n += uint64(info.Samples)
+	}
+	return n
+}
+
+// analyze runs the analyser over the trace and merges the result into
+// the key's entry, creating it on first sight.
+func (t *ContractTable) analyze(key Key, trace *arch.TxTrace) *PathInfo {
 	a := analyzeTrace(trace)
 
 	info := t.entries[key]

@@ -7,6 +7,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mtpu/internal/keccak"
@@ -75,6 +76,65 @@ func (a AccessSet) Overlaps(b AccessSet) bool {
 		}
 	}
 	return false
+}
+
+// ConflictDAG builds a block's conflict DAG from the per-transaction
+// read and write sets of its sequential replay: i → j (i < j) when i's
+// writes intersect j's reads or writes, or i's reads intersect j's
+// writes. It yields exactly the edges a pairwise Overlaps test over
+// every (i, j) finds, each Deps[j] ascending.
+//
+// Transactions are walked in order over an index from each key to the
+// earlier transactions that wrote and read it, so the cost is the total
+// access-set size plus the edges emitted, not txs² set intersections.
+// The worst case is a key every transaction writes: its writer list is
+// rescanned by each later transaction, O(txs²) — but so is the number
+// of edges that block really has.
+func ConflictDAG(reads, writes []AccessSet) *types.DAG {
+	n := len(reads)
+	dag := types.NewDAG(n)
+	type users struct{ writers, readers []int32 }
+	index := make(map[AccessKey]int32)
+	var keys []users
+	slot := func(k AccessKey) *users {
+		id, ok := index[k]
+		if !ok {
+			id = int32(len(keys))
+			index[k] = id
+			keys = append(keys, users{})
+		}
+		return &keys[id]
+	}
+	// dependent[i] == j once i is a recorded dependency of j, so a pair
+	// conflicting on several keys yields one edge; dependent[j] == j
+	// keeps a transaction that reads and writes one key off its own list.
+	dependent := make([]int, n)
+	for j := 0; j < n; j++ {
+		var deps []int
+		add := func(earlier []int32) {
+			for _, i := range earlier {
+				if dependent[i] != j {
+					dependent[i] = j
+					deps = append(deps, int(i))
+				}
+			}
+		}
+		dependent[j] = j
+		for k := range reads[j] {
+			u := slot(k)
+			add(u.writers)
+			u.readers = append(u.readers, int32(j))
+		}
+		for k := range writes[j] {
+			u := slot(k)
+			add(u.writers)
+			add(u.readers)
+			u.writers = append(u.writers, int32(j))
+		}
+		slices.Sort(deps)
+		dag.Deps[j] = deps
+	}
+	return dag
 }
 
 // StateDB is a journaled in-memory world state. It is not safe for

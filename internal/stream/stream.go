@@ -365,6 +365,7 @@ func (s *Service) prefetchLoop() {
 func (s *Service) executeLoop() {
 	defer close(s.commitQ)
 	var folds uint64 // blocks this loop has sent downstream to fold
+	var learned learnCounts
 	for pre := range s.execQ {
 		s.tel.StreamQueueDepth[telemetry.StageExecute].Add(-1)
 		if !s.store.WaitHeight(folds) {
@@ -394,6 +395,7 @@ func (s *Service) executeLoop() {
 			core.ReplayOpts{Genesis: head.DB(), Head: head, Plans: pre.plans, Tel: s.tel})
 		if err == nil && s.cfg.HotspotTopN > 0 {
 			s.acc.LearnHotspots(pre.prep.Traces, s.cfg.HotspotTopN)
+			learned = s.publishLearn(learned)
 		}
 		s.endWork(telemetry.StageExecute, start)
 		if err != nil {
@@ -408,6 +410,25 @@ func (s *Service) executeLoop() {
 			return
 		}
 	}
+}
+
+// learnCounts is the Contract Table's running learn accounting: traces
+// merged, and their split into analysed and reused.
+type learnCounts struct{ offered, analyzed, reused uint64 }
+
+// publishLearn adds what the table learned since prev to the telemetry
+// counters — once per block, so the per-trace learn path carries no
+// atomics — and returns the new totals. Offered comes from the entries'
+// sample counts, independently of the analysed/reused split it must
+// equal. It goes first: a live snapshot then never sees the split ahead
+// of it.
+func (s *Service) publishLearn(prev learnCounts) learnCounts {
+	now := learnCounts{offered: s.acc.Table.Samples()}
+	now.analyzed, now.reused = s.acc.Table.LearnCounts()
+	s.tel.HotspotLearnOffered.Add(now.offered - prev.offered)
+	s.tel.HotspotLearnAnalyzed.Add(now.analyzed - prev.analyzed)
+	s.tel.HotspotLearnReused.Add(now.reused - prev.reused)
+	return now
 }
 
 // commitLoop publishes results in stream order: it folds each block's

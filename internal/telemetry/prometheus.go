@@ -57,6 +57,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		counter("mtpu_stream_shadow_checks_total", "Blocks re-executed by the shadow validator.", st.ShadowChecks)
 		counter("mtpu_stream_shadow_fails_total", "Shadow validations that diverged from the engine result.", st.ShadowFails)
 		counter("mtpu_stream_overlap_total", "Stage work beginnings while another stage was busy.", st.Overlap)
+		counter("mtpu_hotspot_learn_offered_total", "Traces the execute stage offered to the Contract Table.", st.LearnOffered)
+		counter("mtpu_hotspot_learn_analyzed_total", "Offered traces the hotspot analyser ran on.", st.LearnAnalyzed)
+		counter("mtpu_hotspot_learn_reused_total", "Offered traces that repeated an already merged execution path.", st.LearnReused)
 		fmt.Fprintf(&b, "# HELP mtpu_stream_queue_depth Bounded-queue depth feeding each pipeline stage.\n# TYPE mtpu_stream_queue_depth gauge\n")
 		for i := StreamStage(0); i < NumStreamStages; i++ {
 			fmt.Fprintf(&b, "mtpu_stream_queue_depth{stage=%q} %d\n", i.String(), st.QueueDepth[i.String()])

@@ -15,6 +15,9 @@ func streamMetrics() *Metrics {
 	m.StreamShadowChecks.Add(3)
 	m.StreamOverlap.Add(5)
 	m.StreamStageBusyNS[StageExecute].Add(2_000_000)
+	m.HotspotLearnOffered.Add(500)
+	m.HotspotLearnAnalyzed.Add(12)
+	m.HotspotLearnReused.Add(488)
 	return m
 }
 
@@ -62,6 +65,8 @@ func TestStreamSnapshotCheck(t *testing.T) {
 		{"shadow fails exceed checks", func(s *StreamSnapshot) { s.ShadowFails = s.ShadowChecks + 1 }, false},
 		{"negative queue depth", func(s *StreamSnapshot) { s.QueueDepth["execute"] = -1 }, false},
 		{"drained with queued blocks", func(s *StreamSnapshot) { s.QueueDepth["commit"] = 2 }, true},
+		{"learn split exceeds offered", func(s *StreamSnapshot) { s.LearnReused++ }, false},
+		{"drained with unaccounted learn traces", func(s *StreamSnapshot) { s.LearnAnalyzed-- }, true},
 	}
 	for _, c := range cases {
 		s := streamMetrics().Snapshot().Stream
@@ -90,6 +95,8 @@ func TestPrometheusStreamFamilies(t *testing.T) {
 		"mtpu_stream_accepted_total 10",
 		"mtpu_stream_committed_total 9",
 		"mtpu_stream_overlap_total 5",
+		"mtpu_hotspot_learn_analyzed_total 12",
+		"mtpu_hotspot_learn_reused_total 488",
 		`mtpu_stream_queue_depth{stage="prefetch"} 0`,
 		`mtpu_stream_stage_busy_seconds{stage="execute"} 0.002`,
 	} {

@@ -117,6 +117,13 @@ type Metrics struct {
 	// wall-clock nanoseconds stage s spent processing (not waiting).
 	StreamQueueDepth  [NumStreamStages]Gauge
 	StreamStageBusyNS [NumStreamStages]Counter
+	// Contract-Table learn split, published by the execute stage once
+	// per block: of the traces offered to hotspot.ContractTable.Learn,
+	// how many ran the analyser and how many repeated a path the table
+	// had already merged.
+	HotspotLearnOffered  Counter
+	HotspotLearnAnalyzed Counter
+	HotspotLearnReused   Counter
 
 	// Multi-version state layer (internal/mvstate): cross-block fold
 	// and snapshot activity for the chained stream service. Commits
@@ -264,6 +271,13 @@ type StreamSnapshot struct {
 	ShadowFails  uint64 `json:"shadow_fails"`
 	Overlap      uint64 `json:"overlap"`
 
+	// LearnOffered counts the traces the execute stage's Contract-Table
+	// learn accepted; LearnAnalyzed + LearnReused split them by whether
+	// the analyser ran or the path was already known.
+	LearnOffered  uint64 `json:"learn_offered"`
+	LearnAnalyzed uint64 `json:"learn_analyzed"`
+	LearnReused   uint64 `json:"learn_reused"`
+
 	// QueueDepth and StageBusyMS are keyed by stage name, one entry
 	// per pipeline stage.
 	QueueDepth  map[string]int64   `json:"queue_depth"`
@@ -287,6 +301,10 @@ func (s *StreamSnapshot) Check(drained bool) error {
 		return fmt.Errorf("telemetry: stream shadow fails %d exceed checks %d",
 			s.ShadowFails, s.ShadowChecks)
 	}
+	if s.LearnAnalyzed+s.LearnReused > s.LearnOffered {
+		return fmt.Errorf("telemetry: stream learn analyzed %d + reused %d exceed offered %d",
+			s.LearnAnalyzed, s.LearnReused, s.LearnOffered)
+	}
 	for stage, d := range s.QueueDepth {
 		if d < 0 {
 			return fmt.Errorf("telemetry: stream %s queue depth %d negative", stage, d)
@@ -298,6 +316,10 @@ func (s *StreamSnapshot) Check(drained bool) error {
 	if drained && s.Committed+s.Invalid != s.Accepted {
 		return fmt.Errorf("telemetry: drained stream committed %d + invalid %d != accepted %d",
 			s.Committed, s.Invalid, s.Accepted)
+	}
+	if drained && s.LearnAnalyzed+s.LearnReused != s.LearnOffered {
+		return fmt.Errorf("telemetry: drained stream learn analyzed %d + reused %d != offered %d",
+			s.LearnAnalyzed, s.LearnReused, s.LearnOffered)
 	}
 	return nil
 }
@@ -418,8 +440,13 @@ func (m *Metrics) Snapshot() Snapshot {
 			ShadowChecks: m.StreamShadowChecks.Load(),
 			ShadowFails:  m.StreamShadowFails.Load(),
 			Overlap:      m.StreamOverlap.Load(),
-			QueueDepth:   make(map[string]int64, NumStreamStages),
-			StageBusyMS:  make(map[string]float64, NumStreamStages),
+			// The stage adds Offered first, so reading it last keeps
+			// analyzed + reused <= offered on a live pipeline.
+			LearnAnalyzed: m.HotspotLearnAnalyzed.Load(),
+			LearnReused:   m.HotspotLearnReused.Load(),
+			LearnOffered:  m.HotspotLearnOffered.Load(),
+			QueueDepth:    make(map[string]int64, NumStreamStages),
+			StageBusyMS:   make(map[string]float64, NumStreamStages),
 		}
 		for i := StreamStage(0); i < NumStreamStages; i++ {
 			st.QueueDepth[i.String()] = m.StreamQueueDepth[i].Load()

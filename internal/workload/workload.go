@@ -603,15 +603,7 @@ func buildDAGOn(st *state.StateDB, block *types.Block) ([]*types.Receipt, error)
 		}
 	}
 
-	block.DAG = types.NewDAG(n)
-	for j := 1; j < n; j++ {
-		for i := 0; i < j; i++ {
-			if writes[i].Overlaps(reads[j]) || writes[i].Overlaps(writes[j]) ||
-				reads[i].Overlaps(writes[j]) {
-				block.DAG.AddEdge(i, j)
-			}
-		}
-	}
+	block.DAG = state.ConflictDAG(reads, writes)
 	return receipts, nil
 }
 
