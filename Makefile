@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet fuzz-smoke diff-smoke bench bench-selftest stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts ci
+.PHONY: all build test race vet fuzz-smoke diff-smoke bench bench-selftest stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts sweeps-identical ci
 
 all: build
 
@@ -126,4 +126,13 @@ validate-artifacts:
 	$(GO) run ./cmd/mtpu-bench -validate BENCH_sweeps.json
 	$(GO) run ./cmd/mtpu-bench -validate BENCH_perf.json
 
-ci: vet build race bench-selftest diff-smoke fuzz-smoke stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts
+# The same-machine contract: regenerate the full sweep report with the
+# committed seed and parallelism and compare every field of
+# BENCH_sweeps.json except the host-time ones (wall times, tx/s rates,
+# perf reps, toolchain). Prints the first differing path and fails. A
+# change that means to move a simulated number regenerates the file:
+#   go run ./cmd/mtpu-bench -json BENCH_sweeps.json all
+sweeps-identical:
+	$(GO) test ./cmd/mtpu-bench -run '^TestSweepsIdentical$$' -count=1
+
+ci: vet build race bench-selftest diff-smoke fuzz-smoke stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts sweeps-identical

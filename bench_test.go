@@ -14,7 +14,6 @@ import (
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/core"
-	"mtpu/internal/evm"
 	"mtpu/internal/experiments"
 	"mtpu/internal/mvstate"
 	"mtpu/internal/state"
@@ -309,48 +308,6 @@ func BenchmarkCollectTracesAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineSplit tracks the allocation cost of separating a
-// plan's annotated steps into the slices the pipeline consumes.
-func BenchmarkPipelineSplit(b *testing.B) {
-	gen := workload.NewGenerator(1234, 4096)
-	genesis := gen.Genesis()
-	block := gen.TokenBlock(64, 0.3)
-	traces, _, _, err := core.CollectTraces(genesis, block)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plans := pu.PlainPlans(traces)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range plans {
-			pipeline.Split(p.Steps)
-		}
-	}
-}
-
-// BenchmarkPipelineSplitInto measures the same work with caller-owned
-// buffers reused across transactions (zero steady-state allocations).
-func BenchmarkPipelineSplitInto(b *testing.B) {
-	gen := workload.NewGenerator(1234, 4096)
-	genesis := gen.Genesis()
-	block := gen.TokenBlock(64, 0.3)
-	traces, _, _, err := core.CollectTraces(genesis, block)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plans := pu.PlainPlans(traces)
-	var steps []evm.Step
-	var ann []pipeline.Annotation
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range plans {
-			steps, ann = pipeline.SplitInto(p.Steps, steps, ann)
-		}
-	}
-}
-
 // BenchmarkPipelineExecuteWarm measures the disabled-sink pipeline hot
 // path on a warm (all-hit) replay. The allocation report must read
 // 0 allocs/op — the zero-overhead guarantee of the instrumentation
@@ -367,16 +324,14 @@ func BenchmarkPipelineExecuteWarm(b *testing.B) {
 	cfg := arch.DefaultConfig()
 	pipe := pipeline.New(cfg)
 	var mem pipeline.MemModel = pipeline.FlatMem{Cfg: cfg}
-	for _, p := range plans { // warm the DB cache and memoize splits
-		steps, ann := p.Split()
-		pipe.Execute(steps, ann, mem)
+	for _, p := range plans { // warm the DB cache
+		pipe.Execute(p.Steps, p.Ann, p.Hot, mem)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range plans {
-			steps, ann := p.Split()
-			pipe.Execute(steps, ann, mem)
+			pipe.Execute(p.Steps, p.Ann, p.Hot, mem)
 		}
 	}
 }

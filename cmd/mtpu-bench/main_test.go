@@ -3,9 +3,13 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -168,5 +172,129 @@ func TestUnwritableLedgerExitsNonzero(t *testing.T) {
 	code := benchMain(t, "-ledger", filepath.Join(blocker, "ledger.jsonl"), "table1")
 	if code == 0 {
 		t.Fatal("unwritable ledger path exited 0")
+	}
+}
+
+// hostFields are the report fields that describe the host a sweep ran
+// on — wall-clock times, the rates derived from them, the repetitions a
+// fixed wall budget bought, and the toolchain — rather than the
+// simulated machine. Everything else in a report is a pure function of
+// (seed, parallel).
+var hostFields = map[string]bool{
+	"wall_ms": true, "total_wall_ms": true, "tx_per_sec": true,
+	"reps": true, "instr_per_sec": true,
+	"go_version": true, "build": true, "gomaxprocs": true,
+}
+
+// firstDifference returns the path of the first field, in sorted key
+// order, at which two decoded reports differ outside hostFields, or ""
+// when there is none.
+func firstDifference(a, b any, path string) string {
+	switch av := a.(type) {
+	case map[string]any:
+		bv, ok := b.(map[string]any)
+		if !ok {
+			return path
+		}
+		keys := map[string]bool{}
+		for k := range av {
+			keys[k] = true
+		}
+		for k := range bv {
+			keys[k] = true
+		}
+		sorted := make([]string, 0, len(keys))
+		for k := range keys {
+			if !hostFields[k] {
+				sorted = append(sorted, k)
+			}
+		}
+		sort.Strings(sorted)
+		for _, k := range sorted {
+			x, inA := av[k]
+			y, inB := bv[k]
+			if !inA || !inB {
+				return path + "." + k
+			}
+			if d := firstDifference(x, y, path+"."+k); d != "" {
+				return d
+			}
+		}
+		return ""
+	case []any:
+		bv, ok := b.([]any)
+		if !ok || len(av) != len(bv) {
+			return path
+		}
+		for i := range av {
+			if d := firstDifference(av[i], bv[i], fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+		return ""
+	}
+	if !reflect.DeepEqual(a, b) {
+		return path
+	}
+	return ""
+}
+
+// TestSweepsIdentical is the same-machine contract, checked instead of
+// hand-checked (make sweeps-identical): regenerating the full report
+// with the committed seed and parallelism must reproduce every cycle,
+// digest-derived speedup and counter of BENCH_sweeps.json. A change
+// that means to move a simulated number regenerates the file.
+func TestSweepsIdentical(t *testing.T) {
+	want := loadArtifact(t)
+	seed, parallel := want["seed"].(float64), want["parallel"].(float64)
+	out := filepath.Join(t.TempDir(), "sweeps.json")
+	if code := benchMain(t, "-seed", strconv.FormatInt(int64(seed), 10),
+		"-parallel", strconv.Itoa(int(parallel)), "-json", out, "all"); code != 0 {
+		t.Fatalf("mtpu-bench all exited %d", code)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if d := firstDifference(want, got, ""); d != "" {
+		t.Fatalf("regenerated report differs from BENCH_sweeps.json at %s", d)
+	}
+}
+
+// TestFirstDifference pins the comparison itself: host fields are
+// ignored at every depth, and a moved simulated field, a missing field
+// and a changed row count are each reported by path.
+func TestFirstDifference(t *testing.T) {
+	base := func() map[string]any {
+		return map[string]any{
+			"seed": 1.0, "total_wall_ms": 10.0, "build": map[string]any{"go_version": "go1"},
+			"stm": []any{map[string]any{"stm_cycles": 7.0, "wall_ms": 3.0}},
+		}
+	}
+	host := base()
+	host["total_wall_ms"] = 99.0
+	host["build"] = "other"
+	host["stm"].([]any)[0].(map[string]any)["wall_ms"] = 4.0
+	if d := firstDifference(base(), host, ""); d != "" {
+		t.Fatalf("host-only change reported at %s", d)
+	}
+	moved := base()
+	moved["stm"].([]any)[0].(map[string]any)["stm_cycles"] = 8.0
+	if d := firstDifference(base(), moved, ""); d != ".stm[0].stm_cycles" {
+		t.Fatalf("moved cycle count reported at %q", d)
+	}
+	missing := base()
+	delete(missing, "seed")
+	if d := firstDifference(base(), missing, ""); d != ".seed" {
+		t.Fatalf("missing field reported at %q", d)
+	}
+	shorter := base()
+	shorter["stm"] = []any{}
+	if d := firstDifference(base(), shorter, ""); d != ".stm" {
+		t.Fatalf("changed row count reported at %q", d)
 	}
 }

@@ -55,10 +55,10 @@ func main() {
 			100*info.LoadFractionOf(tr.Contract), len(tether.Code))
 
 		pref, slTotal := 0, 0
-		for _, s := range plan.Steps {
-			if s.Step.Op.String() == "SLOAD" {
+		for i := range plan.Steps {
+			if plan.Steps[i].Op.String() == "SLOAD" {
 				slTotal++
-				if s.Annotation.Prefetched {
+				if i < len(plan.Ann) && plan.Ann[i].Prefetched {
 					pref++
 				}
 			}

@@ -11,51 +11,28 @@ import (
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/evm"
 	"mtpu/internal/obs"
-	"mtpu/internal/types"
 )
-
-// sbKind distinguishes State Buffer entry classes.
-type sbKind uint8
-
-const (
-	sbStorage sbKind = iota
-	sbAccount
-)
-
-// sbKey identifies one buffer entry for accesses that carry no interned
-// TouchID (hand-built steps); interned accesses index the buffer by id
-// directly.
-type sbKey struct {
-	kind sbKind
-	addr types.Address
-	slot types.Hash
-}
 
 // StateBuffer is the shared recently-touched-state cache. Modified state
 // is written back after commit but "the state of dependent transactions
 // is kept for a period of time so that subsequent transactions are able
 // to access it directly". Entries are identified by the dense TouchID
-// the trace-build symbol table assigned, so a touch is two array
-// indexes and an LRU splice — no hashing of the 53-byte (kind, addr,
-// slot) key — and all storage (the id-indexed directory plus a node
-// arena with a free list) is reused, so a warm buffer never allocates.
+// the trace-build symbol table assigned (storage slots and account
+// states share the one id space), so a touch is two array indexes and an
+// LRU splice — no hashing of the 53-byte (kind, addr, slot) key — and
+// all storage (the id-indexed directory plus a node arena with a free
+// list) is reused, so a warm buffer never allocates.
 type StateBuffer struct {
 	capacity int
-	// dir maps interned TouchIDs (1-based) to their arena node, -1 when
-	// absent; localDir does the same for locally interned ids. Both grow
-	// to the largest id seen and are never shrunk.
-	dir      []int32
-	localDir []int32
-	nodes    []sbNode
+	// dir maps TouchIDs (1-based) to their arena node, -1 when absent. It
+	// grows to the largest id seen and is never shrunk.
+	dir   []int32
+	nodes []sbNode
 	// LRU list plus free list as arena indexes (-1 = none).
 	head, tail, free int32
 	count            int
 
 	Hits, Misses uint64
-
-	// fallback interns un-id'd keys into the same id space, starting at
-	// sbLocalIDBase so they never alias symbol-table ids.
-	fallback map[sbKey]uint32
 }
 
 type sbNode struct {
@@ -63,25 +40,9 @@ type sbNode struct {
 	prev, next int32
 }
 
-// sbLocalIDBase is the first locally interned TouchID.
-const sbLocalIDBase = 1 << 31
-
 // NewStateBuffer returns a buffer holding up to capacity entries.
 func NewStateBuffer(capacity int) *StateBuffer {
 	return &StateBuffer{capacity: capacity, head: -1, tail: -1, free: -1}
-}
-
-// Touch records an access to the key with no interned id.
-func (b *StateBuffer) Touch(k sbKey) bool {
-	if b.fallback == nil {
-		b.fallback = make(map[sbKey]uint32)
-	}
-	id, ok := b.fallback[k]
-	if !ok {
-		id = sbLocalIDBase + uint32(len(b.fallback))
-		b.fallback[k] = id
-	}
-	return b.TouchID(id)
 }
 
 // TouchID records an access to the interned key id and reports whether
@@ -113,24 +74,17 @@ func (b *StateBuffer) TouchID(id uint32) bool {
 }
 
 // dirSlot returns the directory cell for id, growing the directory on
-// first sight; locally interned ids (top bit set) live in their own
-// directory so both stay proportional to the number of distinct keys.
+// first sight.
 func (b *StateBuffer) dirSlot(id uint32) *int32 {
-	dir, idx := &b.dir, int(id)
-	if id >= sbLocalIDBase {
-		dir, idx = &b.localDir, int(id-sbLocalIDBase)
+	for len(b.dir) <= int(id) {
+		b.dir = append(b.dir, -1)
 	}
-	for len(*dir) <= idx {
-		*dir = append(*dir, -1)
-	}
-	return &(*dir)[idx]
+	return &b.dir[id]
 }
 
-// Reset empties the buffer while keeping the directory, node arena and
-// fallback intern table for reuse. Interned TouchIDs are per-plan-set,
-// so resident entries must be dropped before the buffer serves another
-// set; the fallback table is keyed by full (kind, addr, slot) keys and
-// persists safely.
+// Reset empties the buffer while keeping the directory and node arena
+// for reuse. TouchIDs are per-plan-set, so resident entries must be
+// dropped before the buffer serves another set.
 func (b *StateBuffer) Reset() {
 	for i := b.head; i >= 0; {
 		next := b.nodes[i].next
@@ -225,22 +179,9 @@ func (m *Processor) Mem() pipeline.MemModel {
 	return procMem{m}
 }
 
-// procMem implements pipeline.MemModel over the shared State Buffer.
-// Interned steps index the buffer by TouchID; steps without one fall
-// back to key hashing.
+// procMem implements pipeline.MemModel over the shared State Buffer,
+// indexed by each step's TouchID.
 type procMem struct{ m *Processor }
-
-// touch records the access behind s in the State Buffer.
-func (pm procMem) touch(s *evm.Step, kind sbKind) bool {
-	if s.TouchID != 0 {
-		return pm.m.SBuf.TouchID(s.TouchID)
-	}
-	k := sbKey{kind: kind, addr: s.TouchAddr}
-	if kind == sbStorage {
-		k.slot = s.TouchSlot
-	}
-	return pm.m.SBuf.Touch(k)
-}
 
 // StorageRead implements pipeline.MemModel.
 func (pm procMem) StorageRead(s *evm.Step, prefetched bool) uint64 {
@@ -248,7 +189,7 @@ func (pm procMem) StorageRead(s *evm.Step, prefetched bool) uint64 {
 	if prefetched {
 		return cfg.DCacheLat
 	}
-	if cfg.ReuseContext && pm.touch(s, sbStorage) {
+	if cfg.ReuseContext && pm.m.SBuf.TouchID(s.TouchID) {
 		return cfg.EnvBufferLat
 	}
 	return cfg.MainMemLat
@@ -259,7 +200,7 @@ func (pm procMem) StorageRead(s *evm.Step, prefetched bool) uint64 {
 func (pm procMem) StorageWrite(s *evm.Step) uint64 {
 	cfg := &pm.m.Cfg
 	if cfg.ReuseContext {
-		pm.touch(s, sbStorage)
+		pm.m.SBuf.TouchID(s.TouchID)
 	}
 	return cfg.StorageWriteLat
 }
@@ -270,7 +211,7 @@ func (pm procMem) StateQuery(s *evm.Step, prefetched bool) uint64 {
 	if prefetched {
 		return cfg.DCacheLat
 	}
-	if cfg.ReuseContext && pm.touch(s, sbAccount) {
+	if cfg.ReuseContext && pm.m.SBuf.TouchID(s.TouchID) {
 		return cfg.EnvBufferLat
 	}
 	return cfg.MainMemLat

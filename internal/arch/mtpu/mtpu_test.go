@@ -16,26 +16,23 @@ var (
 
 func TestStateBufferLRU(t *testing.T) {
 	b := NewStateBuffer(2)
-	k1 := sbKey{sbStorage, acctA, slotX}
-	k2 := sbKey{sbStorage, acctA, slotY}
-	k3 := sbKey{sbAccount, acctA, types.Hash{}}
+	const k1, k2, k3 = 1, 2, 3
 
-	if b.Touch(k1) {
+	if b.TouchID(k1) {
 		t.Fatal("cold hit")
 	}
-	if !b.Touch(k1) {
+	if !b.TouchID(k1) {
 		t.Fatal("warm miss")
 	}
-	b.Touch(k2)
-	b.Touch(k1) // refresh k1; k2 is now LRU
-	b.Touch(k3) // evicts k2
-	if b.Touch(k2) {
+	b.TouchID(k2)
+	b.TouchID(k1) // refresh k1; k2 is now LRU
+	b.TouchID(k3) // evicts k2
+	if b.TouchID(k2) {
 		t.Fatal("evicted key hit")
 	}
-	if !b.Touch(k1) {
-		// k1 was evicted when k2 re-entered (capacity 2: k3,k2 resident).
-		// After re-touching k2 above, residents are {k2, k3}; k1 gone.
-		t.Log("k1 evicted as expected after k2 reinsertion")
+	// Re-inserting k2 evicted k1 (capacity 2: k3, k2 resident).
+	if b.TouchID(k1) {
+		t.Fatal("k1 survived k2's reinsertion")
 	}
 	if b.Len() != 2 {
 		t.Fatalf("len %d", b.Len())
@@ -44,19 +41,23 @@ func TestStateBufferLRU(t *testing.T) {
 
 func TestStateBufferStats(t *testing.T) {
 	b := NewStateBuffer(10)
-	k := sbKey{sbStorage, acctA, slotX}
-	b.Touch(k)
-	b.Touch(k)
-	b.Touch(k)
+	b.TouchID(1)
+	b.TouchID(1)
+	b.TouchID(1)
 	if b.Hits != 2 || b.Misses != 1 {
 		t.Fatalf("hits %d misses %d", b.Hits, b.Misses)
 	}
 }
 
-// storStep builds an un-interned storage-access step (TouchID 0, so the
-// memory model exercises its key-hashing fallback).
+// syms interns the hand-built steps below, as a Collector would; storage
+// slots and account states share its TouchID space.
+var syms = arch.NewSymbolTable()
+
+// storStep builds an interned storage-access step.
 func storStep(addr types.Address, slot types.Hash) *evm.Step {
-	return &evm.Step{Op: evm.SLOAD, TouchAddr: addr, TouchSlot: slot}
+	s := &evm.Step{Op: evm.SLOAD, TouchAddr: addr, TouchSlot: slot}
+	syms.Intern(s)
+	return s
 }
 
 func TestProcessorMemLatencies(t *testing.T) {
@@ -84,30 +85,12 @@ func TestProcessorMemLatencies(t *testing.T) {
 	}
 	// Account queries share the buffer.
 	q := &evm.Step{Op: evm.BALANCE, TouchAddr: acctA}
+	syms.Intern(q)
 	if got := mem.StateQuery(q, false); got != cfg.MainMemLat {
 		t.Fatalf("cold query %d", got)
 	}
 	if got := mem.StateQuery(q, false); got != cfg.EnvBufferLat {
 		t.Fatalf("warm query %d", got)
-	}
-}
-
-// TestInternedAndFallbackKeysCoexist drives one buffer with both
-// interned TouchIDs and fallback keys: the two id spaces must never
-// alias.
-func TestInternedAndFallbackKeysCoexist(t *testing.T) {
-	b := NewStateBuffer(8)
-	if b.TouchID(1) {
-		t.Fatal("cold interned hit")
-	}
-	if b.Touch(sbKey{sbStorage, acctA, slotX}) {
-		t.Fatal("cold fallback hit")
-	}
-	if !b.TouchID(1) || !b.Touch(sbKey{sbStorage, acctA, slotX}) {
-		t.Fatal("warm miss")
-	}
-	if b.Len() != 2 {
-		t.Fatalf("len %d, want 2 (id spaces aliased?)", b.Len())
 	}
 }
 
@@ -143,13 +126,11 @@ func TestProcessorBuildsPUs(t *testing.T) {
 	}
 }
 
-func TestStateBufferResetDropsEntriesKeepsIntern(t *testing.T) {
+func TestStateBufferResetDropsEntries(t *testing.T) {
 	b := NewStateBuffer(4)
-	k1 := sbKey{sbStorage, acctA, slotX}
-	b.Touch(k1)
+	b.TouchID(2)
 	b.TouchID(7)
 	b.TouchID(7)
-	id1 := b.fallback[k1]
 	if b.Len() != 2 || b.Hits != 1 {
 		t.Fatalf("len %d hits %d before reset", b.Len(), b.Hits)
 	}
@@ -158,18 +139,10 @@ func TestStateBufferResetDropsEntriesKeepsIntern(t *testing.T) {
 	if b.Len() != 0 || b.Hits != 0 || b.Misses != 0 {
 		t.Fatalf("len %d hits %d misses %d after reset", b.Len(), b.Hits, b.Misses)
 	}
-	// Every reset key is cold again — TouchID 7 belonged to the previous
+	// Every reset key is cold again — the ids belonged to the previous
 	// plan set's symbol table and must not alias whatever set comes next.
-	if b.TouchID(7) {
+	if b.TouchID(7) || b.TouchID(2) {
 		t.Fatal("stale TouchID survived Reset")
-	}
-	if b.Touch(k1) {
-		t.Fatal("stale fallback entry resident after Reset")
-	}
-	// The fallback intern table is address-keyed, not symbol-table
-	// scoped, so the id assignment itself persists.
-	if got := b.fallback[k1]; got != id1 {
-		t.Fatalf("fallback id changed across Reset: %d then %d", id1, got)
 	}
 }
 
@@ -197,23 +170,15 @@ func TestStateBufferResetMatchesFresh(t *testing.T) {
 }
 
 // TestStateBufferWarmTouchZeroAllocs pins the arena layout property the
-// perf pass depends on: once a working set is resident, interned and
-// fallback touches are pure array/LRU operations.
+// perf pass depends on: once a working set is resident, touches are pure
+// array/LRU operations.
 func TestStateBufferWarmTouchZeroAllocs(t *testing.T) {
 	b := NewStateBuffer(64)
-	keys := make([]sbKey, 16)
-	for i := range keys {
-		keys[i] = sbKey{sbStorage, acctA, types.BytesToHash([]byte{byte(i)})}
-		b.Touch(keys[i])
-	}
-	for id := uint32(1); id <= 16; id++ {
+	for id := uint32(1); id <= 32; id++ {
 		b.TouchID(id)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, k := range keys {
-			b.Touch(k)
-		}
-		for id := uint32(1); id <= 16; id++ {
+		for id := uint32(1); id <= 32; id++ {
 			b.TouchID(id)
 		}
 	})

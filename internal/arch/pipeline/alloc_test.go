@@ -1,18 +1,21 @@
 package pipeline_test
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/core"
+	"mtpu/internal/evm"
 	"mtpu/internal/workload"
 )
 
 // allocFixture builds a warmed pipeline, PU and plan set: one pass over
-// the plans fills the DB cache and memoizes every plan's split, so the
-// measured replay below runs the pure hit path.
+// the plans fills the DB cache, so the measured replay below runs the
+// pure hit path.
 func allocFixture(t testing.TB) (*pipeline.Pipeline, *pu.PU, []*pu.Plan, pipeline.MemModel) {
 	g := workload.NewGenerator(303, 1024)
 	genesis := g.Genesis()
@@ -31,8 +34,7 @@ func allocFixture(t testing.TB) (*pipeline.Pipeline, *pu.PU, []*pu.Plan, pipelin
 	var mem pipeline.MemModel = pipeline.FlatMem{Cfg: cfg}
 
 	for _, p := range plans {
-		steps, ann := p.Split()
-		pipe.Execute(steps, ann, mem)
+		pipe.Execute(p.Steps, p.Ann, p.Hot, mem)
 		unit.Run(p, mem)
 	}
 	return pipe, unit, plans, mem
@@ -45,8 +47,7 @@ func TestPipelineExecuteWarmZeroAllocs(t *testing.T) {
 	pipe, _, plans, mem := allocFixture(t)
 	avg := testing.AllocsPerRun(20, func() {
 		for _, p := range plans {
-			steps, ann := p.Split()
-			pipe.Execute(steps, ann, mem)
+			pipe.Execute(p.Steps, p.Ann, p.Hot, mem)
 		}
 	})
 	if avg != 0 {
@@ -66,5 +67,43 @@ func TestPURunWarmZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("warm PU.Run allocates %.1f objects per replay, want 0", avg)
+	}
+}
+
+// TestPlainPlansAllocateNoStepCopy guards what the block-stream service
+// pays per block for a plain engine's plans: a fixed handful of objects
+// per transaction (the plan and its hot image), and nowhere near the
+// bytes of one copy of the block's steps — plain plans share their
+// traces' steps.
+func TestPlainPlansAllocateNoStepCopy(t *testing.T) {
+	src, err := workload.ScenarioSpec{Scenario: "erc20-mix", Blocks: 1, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _ := src.Next()
+	traces, _, _, err := core.CollectTraces(src.Genesis(), block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	for _, tr := range traces {
+		steps += len(tr.Steps)
+	}
+
+	var plans []*pu.Plan
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	plans = pu.PlainPlans(traces)
+	runtime.ReadMemStats(&m1)
+	if len(plans) != len(traces) {
+		t.Fatalf("%d plans for %d traces", len(plans), len(traces))
+	}
+	stepBytes := uint64(steps) * uint64(unsafe.Sizeof(evm.Step{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > stepBytes/2 {
+		t.Errorf("PlainPlans allocated %d bytes; one copy of the block's %d steps is %d", got, steps, stepBytes)
+	}
+	perRun := testing.AllocsPerRun(5, func() { plans = pu.PlainPlans(traces) })
+	if limit := float64(8*len(traces) + 1); perRun > limit {
+		t.Errorf("PlainPlans made %.0f allocations for %d transactions, want at most %.0f", perRun, len(traces), limit)
 	}
 }

@@ -8,6 +8,9 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
+
 	"mtpu/internal/arch"
 	"mtpu/internal/evm"
 	"mtpu/internal/obs"
@@ -23,42 +26,9 @@ type Annotation struct {
 	ConstOperands bool
 }
 
-// AnnotatedStep pairs one executed instruction with its hotspot
-// annotations; plans built by the hotspot optimizer are slices of these.
-type AnnotatedStep struct {
-	Step       evm.Step
-	Annotation Annotation
-}
-
-// Split separates annotated steps into the parallel slices Execute takes.
-func Split(in []AnnotatedStep) ([]evm.Step, []Annotation) {
-	return SplitInto(in, nil, nil)
-}
-
-// SplitInto is Split reusing the caller's buffers when they have the
-// capacity, so tight replay loops split without allocating.
-func SplitInto(in []AnnotatedStep, steps []evm.Step, ann []Annotation) ([]evm.Step, []Annotation) {
-	if cap(steps) < len(in) {
-		steps = make([]evm.Step, len(in))
-	} else {
-		steps = steps[:len(in)]
-	}
-	if cap(ann) < len(in) {
-		ann = make([]Annotation, len(in))
-	} else {
-		ann = ann[:len(in)]
-	}
-	for i := range in {
-		steps[i] = in[i].Step
-		ann[i] = in[i].Annotation
-	}
-	return steps, ann
-}
-
 // MemModel resolves data-access latencies. The MTPU supplies an
 // implementation backed by the shared State Buffer. Methods take the
-// whole step so implementations can use its interned TouchID (falling
-// back to TouchAddr/TouchSlot when it is 0).
+// whole step so implementations can use its interned TouchID.
 type MemModel interface {
 	// StorageRead returns the SLOAD latency for the slot the step touches.
 	StorageRead(s *evm.Step, prefetched bool) uint64
@@ -209,8 +179,7 @@ type line struct {
 	// count is the original instruction count (including folded ones).
 	count int
 	// keySum fingerprints the line's content: the sum of mix64'd pcs over
-	// the exact step window the fill consumed (pcs only, so the value is
-	// identical whether the stream was interned or used local code ids).
+	// the exact step window the fill consumed.
 	// A directory tag match does NOT imply a content match — the Contract
 	// Table rewrites hot traces (pre-executed and eliminated instructions
 	// are dropped), so planned and plain transactions of the same
@@ -241,33 +210,26 @@ func (ln *line) copyFrom(src *line) {
 }
 
 // codeDir maps packed (code id, pc) keys to int32 payloads with two
-// array indexes instead of a hash. Rows are allocated per code id and
-// grown to the highest pc seen (bytecode offsets, so rows stay at most
-// code-sized); dense symbol-table ids index global, pipeline-local ids
-// (top bit set) index local. Cells carry a generation stamp in the high
-// half so the whole directory empties with one counter bump (clear) —
-// the clean-slate reuse a pooled pipeline needs. gen starts at 1
-// (constructors must set it) and rows are allocated zeroed, so a
-// never-written cell can never read as present.
+// array indexes instead of a hash. Rows are allocated per dense
+// symbol-table code id and grown to the highest pc seen (bytecode
+// offsets, so rows stay at most code-sized). Cells carry a generation
+// stamp in the high half so the whole directory empties with one counter
+// bump (clear) — the clean-slate reuse a pooled pipeline needs. gen
+// starts at 1 (constructors must set it) and rows are allocated zeroed,
+// so a never-written cell can never read as present.
 type codeDir struct {
-	global, local [][]uint64
-	gen           uint32
+	rows [][]uint64
+	gen  uint32
 }
 
 // get returns the payload for key, -1 when absent. No allocation.
 func (d *codeDir) get(key uint64) int32 {
-	id := uint32(key >> 32)
+	id := int(key >> 32)
 	pc := int(uint32(key))
-	rows := d.global
-	idx := int(id)
-	if id >= localIDBase {
-		rows = d.local
-		idx = int(id - localIDBase)
-	}
-	if idx >= len(rows) {
+	if id >= len(d.rows) {
 		return -1
 	}
-	row := rows[idx]
+	row := d.rows[id]
 	if pc >= len(row) {
 		return -1
 	}
@@ -281,38 +243,28 @@ func (d *codeDir) get(key uint64) int32 {
 // set stores the payload for key (use -1 to delete), growing the
 // directory as needed.
 func (d *codeDir) set(key uint64, v int32) {
-	id := uint32(key >> 32)
+	id := int(key >> 32)
 	pc := int(uint32(key))
-	tab := &d.global
-	idx := int(id)
-	if id >= localIDBase {
-		tab = &d.local
-		idx = int(id - localIDBase)
+	d.rows = growRow(d.rows, id, pc)
+	d.rows[id][pc] = uint64(d.gen)<<32 | uint64(uint32(v))
+}
+
+// growRow returns rows with rows[id][pc] addressable. Steady state — the
+// row already spans the pc — is two bounds checks with no growth
+// bookkeeping; growth at least doubles the row.
+func growRow[T uint32 | uint64](rows [][]T, id, pc int) [][]T {
+	if id < len(rows) && pc < len(rows[id]) {
+		return rows
 	}
-	cell := uint64(d.gen)<<32 | uint64(uint32(v))
-	// Steady state: the row already spans this pc, so the store is two
-	// bounds checks with no growth bookkeeping.
-	if idx < len(*tab) {
-		if row := (*tab)[idx]; pc < len(row) {
-			row[pc] = cell
-			return
-		}
+	for len(rows) <= id {
+		rows = append(rows, nil)
 	}
-	for len(*tab) <= idx {
-		*tab = append(*tab, nil)
-	}
-	row := (*tab)[idx]
-	if pc >= len(row) {
-		need := pc + 1
-		if need < 2*len(row) {
-			need = 2 * len(row)
-		}
-		grown := make([]uint64, need)
+	if row := rows[id]; pc >= len(row) {
+		grown := make([]T, max(pc+1, 2*len(row)))
 		copy(grown, row)
-		(*tab)[idx] = grown
-		row = grown
+		rows[id] = grown
 	}
-	row[pc] = cell
+	return rows
 }
 
 // clear empties the directory in O(1) by advancing the generation. The
@@ -321,12 +273,8 @@ func (d *codeDir) set(key uint64, v int32) {
 func (d *codeDir) clear() {
 	d.gen++
 	if d.gen == 0 {
-		for _, rows := range [2][][]uint64{d.global, d.local} {
-			for _, row := range rows {
-				for i := range row {
-					row[i] = 0
-				}
-			}
+		for _, row := range d.rows {
+			clear(row)
 		}
 		d.gen = 1
 	}
@@ -336,46 +284,16 @@ func (d *codeDir) clear() {
 // a cell is a member iff it holds the current generation, so emptying
 // the set is one counter bump instead of a walk.
 type genDir struct {
-	global, local [][]uint32
-	gen           uint32
-	count         int
+	rows  [][]uint32
+	gen   uint32
+	count int
 }
 
 func (d *genDir) add(key uint64) {
-	id := uint32(key >> 32)
+	id := int(key >> 32)
 	pc := int(uint32(key))
-	tab := &d.global
-	idx := int(id)
-	if id >= localIDBase {
-		tab = &d.local
-		idx = int(id - localIDBase)
-	}
-	// Fast path: the cell exists — stamp it without any growth checks
-	// (repeat adds of warm keys are the overwhelmingly common case).
-	if idx < len(*tab) {
-		if row := (*tab)[idx]; pc < len(row) {
-			if row[pc] != d.gen {
-				row[pc] = d.gen
-				d.count++
-			}
-			return
-		}
-	}
-	for len(*tab) <= idx {
-		*tab = append(*tab, nil)
-	}
-	row := (*tab)[idx]
-	if pc >= len(row) {
-		need := pc + 1
-		if need < 2*len(row) {
-			need = 2 * len(row)
-		}
-		grown := make([]uint32, need)
-		copy(grown, row)
-		(*tab)[idx] = grown
-		row = grown
-	}
-	if row[pc] != d.gen {
+	d.rows = growRow(d.rows, id, pc)
+	if row := d.rows[id]; row[pc] != d.gen {
 		row[pc] = d.gen
 		d.count++
 	}
@@ -387,10 +305,7 @@ func (d *genDir) reset() {
 	d.count = 0
 	d.gen++
 	if d.gen == 0 {
-		for _, row := range d.global {
-			clear(row)
-		}
-		for _, row := range d.local {
+		for _, row := range d.rows {
 			clear(row)
 		}
 		d.gen = 1
@@ -630,7 +545,8 @@ const segMaxConsumed = 32
 
 // Pipeline is the per-PU instruction timing model. It retains DB-cache
 // contents across Execute calls; Flush models a context switch without
-// reuse.
+// reuse. Every step it replays must carry the dense CodeID/TouchID its
+// block's arch.SymbolTable assigned.
 type Pipeline struct {
 	cfg   arch.Config
 	cache *dbCache
@@ -654,13 +570,6 @@ type Pipeline struct {
 	// the hotspot optimizer sees complete execution paths.
 	sideTable genDir
 
-	// localIDs interns code addresses of steps whose CodeID is 0
-	// (hand-built traces). Local ids start at localIDBase so they can
-	// never alias symbol-table ids within one pipeline.
-	localIDs      map[types.Address]uint32
-	lastLocalAddr types.Address
-	lastLocalID   uint32
-
 	// pend batches DB-cache counters for the sink between commit
 	// boundaries; pendContract attributes them (events of different
 	// contracts never share a batch).
@@ -678,10 +587,6 @@ type Pipeline struct {
 	// private overlay (SetFillMemo).
 	memo *FillMemo
 }
-
-// localIDBase is the first pipeline-local code id; interned symbol
-// tables stay far below it.
-const localIDBase = 1 << 31
 
 // New returns a pipeline for the configuration.
 func New(cfg arch.Config) *Pipeline {
@@ -714,18 +619,13 @@ func (p *Pipeline) Reset() {
 	p.stats = Stats{}
 	p.pend.Reset()
 	p.pendContract = types.Address{}
-	// Local ids persist deliberately: they are keyed by address, so
-	// reuse across plan sets cannot alias.
 }
 
-// lineKey packs the identity of the line starting at s into one word:
+// packKey is the identity of the line starting at s, packed into the one
+// word the DB cache, the side table and the fill memos are keyed by:
 // dense code id high, entry pc low (bytecode offsets fit 32 bits).
-func (p *Pipeline) lineKey(s *evm.Step) uint64 {
-	id := s.CodeID
-	if id == 0 {
-		id = p.localCodeID(s.CodeAddr)
-	}
-	return uint64(id)<<32 | uint64(uint32(s.PC))
+func packKey(s *evm.Step) uint64 {
+	return uint64(s.CodeID)<<32 | uint64(uint32(s.PC))
 }
 
 // mix64 is the splitmix64 finalizer — the avalanche behind line.keySum,
@@ -738,25 +638,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// localCodeID interns a code address locally for steps built without a
-// symbol table, memoizing the previous lookup (consecutive steps almost
-// always share a contract).
-func (p *Pipeline) localCodeID(a types.Address) uint32 {
-	if p.lastLocalID != 0 && a == p.lastLocalAddr {
-		return p.lastLocalID
-	}
-	if p.localIDs == nil {
-		p.localIDs = make(map[types.Address]uint32)
-	}
-	id, ok := p.localIDs[a]
-	if !ok {
-		id = localIDBase + uint32(len(p.localIDs))
-		p.localIDs[a] = id
-	}
-	p.lastLocalAddr, p.lastLocalID = a, id
-	return id
 }
 
 // SetSink attaches an instrumentation sink (nil disables) emitting
@@ -840,44 +721,160 @@ func lineEnder(op evm.Opcode) bool {
 	return false
 }
 
+// HotStep is the compact per-step image of the replay hit path: the
+// step's packed line key (dense code id high, pc low), its latency class
+// and its call depth — 16 bytes against evm.Step's cache-line-and-a-half,
+// so the line-head load and the member walk of Execute stream an order
+// of magnitude less memory. Instructions with a stall class still load
+// the full step for their latency inputs.
+type HotStep struct {
+	Key   uint64
+	Class uint8
+	// Depth is the call depth (≤ evm.CallDepthLimit, so uint16 is exact);
+	// with the code id in Key's high half it answers sameFrame without
+	// the step.
+	Depth uint16
+}
+
+// sameFrame is the step-level sameFrame on the compact image: equal
+// depth and equal code id.
+func (h *HotStep) sameFrame(o *HotStep) bool {
+	return h.Depth == o.Depth && h.Key>>32 == o.Key>>32
+}
+
+// HotPlan is the per-plan precomputation Execute replays from: the
+// compact HotStep image plus gas prefix sums and a next-stall index, so
+// the hit and miss paths charge any window's gas with one subtraction
+// and walk only the instructions that can stall.
+type HotPlan struct {
+	Steps []HotStep
+	// GasPrefix[i] is the total gas of Steps[:i] (len(Steps)+1 entries).
+	GasPrefix []uint64
+	// NextStall[i] is the first index >= i whose latency class is not
+	// latNone (len(Steps)+1 entries; NextStall[len] == len), so stall
+	// walks advance stall-to-stall in ascending order — the MemModel
+	// sees every access in trace order.
+	NextStall []int32
+	// Words[i] is the step's memory footprint in 32-byte words — the
+	// SHA3/copy stall multiplier — so flat stall walks never load the
+	// 128-byte step.
+	Words []uint32
+	// NoPrefetch records that no annotation marks a prefetched access,
+	// making every flat-memory stall a pure function of the latency
+	// class (plus SHA3/copy footprints) — the precondition for serving
+	// hits from line.flatWorst.
+	NoPrefetch bool
+	// KeySum[i] is the sum of mix64'd pcs of Steps[:i] (len(Steps)+1
+	// entries), so the hit path checks a whole window's pc sequence
+	// against line.keySum with one subtraction.
+	KeySum []uint64
+}
+
+// NewHotPlan precomputes the replay image of an interned step stream and
+// its annotations (nil = none). The packed ranges are bounded by the
+// interpreter — pc by evm.MaxCodeSize, depth by evm.CallDepthLimit, and
+// a memory footprint is materialized before its step is traced — so a
+// step outside them is a trace-construction bug and panics.
+func NewHotPlan(steps []evm.Step, ann []Annotation) *HotPlan {
+	n := len(steps)
+	hp := &HotPlan{
+		Steps:      make([]HotStep, n),
+		GasPrefix:  make([]uint64, n+1),
+		NextStall:  make([]int32, n+1),
+		Words:      make([]uint32, n),
+		NoPrefetch: true,
+		KeySum:     make([]uint64, n+1),
+	}
+	for i := range steps {
+		s := &steps[i]
+		w := (s.MemBytes + 31) / 32
+		if s.PC > math.MaxUint32 || s.Depth < 0 || s.Depth > math.MaxUint16 || w > math.MaxUint32 {
+			panic(fmt.Sprintf("pipeline: step %d (pc %d, depth %d, %d memory bytes) is outside the packed ranges",
+				i, s.PC, s.Depth, s.MemBytes))
+		}
+		hp.Steps[i] = HotStep{
+			Key:   packKey(s),
+			Class: latClass[s.Op],
+			Depth: uint16(s.Depth),
+		}
+		hp.GasPrefix[i+1] = hp.GasPrefix[i] + s.GasCost
+		hp.KeySum[i+1] = hp.KeySum[i] + mix64(s.PC)
+		hp.Words[i] = uint32(w)
+	}
+	hp.NextStall[n] = int32(n)
+	for i := n - 1; i >= 0; i-- {
+		if hp.Steps[i].Class != latNone {
+			hp.NextStall[i] = int32(i)
+		} else {
+			hp.NextStall[i] = hp.NextStall[i+1]
+		}
+	}
+	for i := range ann {
+		if ann[i].Prefetched {
+			hp.NoPrefetch = false
+			break
+		}
+	}
+	return hp
+}
+
 // Execute replays one instruction stream through the pipeline and returns
-// the cycles it consumed. steps and ann must be parallel slices (ann may
-// be nil for no hotspot annotations). mem resolves data latencies.
-func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, mem MemModel) uint64 {
+// the cycles it consumed. steps and ann are parallel slices (ann may be
+// nil for no hotspot annotations), hp is NewHotPlan(steps, ann), and mem
+// resolves data latencies (nil = FlatMem under the pipeline's config).
+//
+// The plan only removes redundant work from the walks: gas comes from
+// prefix sums, stall walks skip stall-free instructions (they stay
+// ascending, so a stateful MemModel observes every access in trace
+// order), and checking a resident line against the window it is about to
+// serve is one keySum prefix subtraction — the window's mixed-pc sum
+// equals line.keySum exactly when every pc matches, up to a negligible
+// 2^-64 mix collision.
+func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, hp *HotPlan, mem MemModel) uint64 {
+	if len(hp.Steps) != len(steps) {
+		panic("pipeline: hot plan built from a different step stream")
+	}
 	if mem == nil {
 		mem = FlatMem{Cfg: p.cfg}
 	}
+	hot, gp, ns, words := hp.Steps, hp.GasPrefix, hp.NextStall, hp.Words
 	var cycles uint64
 
 	if !p.cfg.EnableDBCache {
 		// Pure scalar: one issue per cycle plus stalls.
-		for i := range steps {
-			cycles += 1 + p.extraLat(&steps[i], annAt(ann, i), mem)
-			p.stats.Instructions++
-			p.stats.IssueCycles++
-			p.stats.GasCharged += steps[i].GasCost
+		cycles = uint64(len(steps))
+		for j := int(ns[0]); j < len(steps); j = int(ns[j+1]) {
+			cycles += p.classLat(hot[j].Class, &steps[j], annAt(ann, j), mem)
 		}
+		p.stats.Instructions += uint64(len(steps))
+		p.stats.IssueCycles += uint64(len(steps))
+		p.stats.GasCharged += gp[len(steps)]
 		p.stats.Cycles += cycles
 		return cycles
 	}
 
+	// Under a flat memory model agreeing with the pipeline's config on
+	// every latency a stall walk can read, with no prefetched
+	// annotations, stalls are a pure function of the latency class and
+	// footprint: hits use the precomputed line.flatWorst and walks use
+	// the devirtualized flatLat. Field-wise compare — a whole-Config
+	// equality is a memeq per call.
+	fm, isFlat := mem.(FlatMem)
+	flatOK := isFlat && hp.NoPrefetch &&
+		fm.Cfg.MainMemLat == p.cfg.MainMemLat &&
+		fm.Cfg.StorageWriteLat == p.cfg.StorageWriteLat &&
+		fm.Cfg.ContextSwitchLat == p.cfg.ContextSwitchLat &&
+		fm.Cfg.Sha3PerWordLat == p.cfg.Sha3PerWordLat &&
+		fm.Cfg.CopyPerWordLat == p.cfg.CopyPerWordLat
 	// Streaming counters accumulate in locals and land in p.stats once
 	// at the end, so the loop body touches no heap-resident counters.
 	var instructions, issueCycles, lineHits, lineMisses, hitInstructions, gasCharged uint64
 	// last is the previous line's cache node; its successor hint usually
-	// resolves the next lookup without probing the map.
+	// resolves the next lookup without probing the directory.
 	last := int32(-1)
 
 	for i := 0; i < len(steps); {
-		// Key computation is inlined here (lineKey is not inlinable —
-		// the local-id fallback calls into map code): interned steps take
-		// the two-instruction fast path.
-		var key uint64
-		if s0 := &steps[i]; s0.CodeID != 0 {
-			key = uint64(s0.CodeID)<<32 | uint64(uint32(s0.PC))
-		} else {
-			key = p.lineKey(s0)
-		}
+		key := hot[i].Key
 		ni := int32(-1)
 		if last >= 0 {
 			if h := p.cache.nodes[last].succ; h >= 0 && p.cache.nodes[h].key == key {
@@ -890,27 +887,31 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, mem MemModel) uin
 		if ni >= 0 {
 			p.cache.touch(ni)
 			ln := p.cache.resolve(ni)
-			if i+ln.count <= len(steps) && lineMatches(ln, steps, i) {
+			if end := i + ln.count; end <= len(steps) &&
+				hp.KeySum[end]-hp.KeySum[i] == ln.keySum {
 				// Hit: the whole line issues in one cycle; stalls overlap,
-				// so the line costs 1 + the slowest member. lineMatches
-				// verified the window's pcs up front — a tag match alone is
-				// not enough, because the Contract Table rewrites hot
+				// so the line costs 1 + the slowest member. A tag match
+				// alone is not enough — the Contract Table rewrites hot
 				// traces, so two variants of the same contract can share an
-				// entry key with different downstream streams; the stale
-				// variant falls through to the miss path and is refilled.
+				// entry key with different downstream streams; the keySum
+				// check sends the stale variant down the miss path, which
+				// refills the line.
 				if p.sink != nil {
 					p.obsLookup(steps[i].CodeAddr, true, ln.count)
 				}
+				gasCharged += gp[end] - gp[i]
 				var worst uint64
-				for k := i; k < i+ln.count; k++ {
-					s := &steps[k]
-					gasCharged += s.GasCost
-					if c := latClass[s.Op]; c != latNone {
-						var a Annotation
-						if ann != nil && k < len(ann) {
-							a = ann[k]
+				if flatOK && ln.flatWorst != lineDynStall {
+					worst = uint64(ln.flatWorst)
+				} else {
+					for j := int(ns[i]); j < end; j = int(ns[j+1]) {
+						var l uint64
+						if flatOK {
+							l = p.flatLat(hot[j].Class, uint64(words[j]))
+						} else {
+							l = p.classLat(hot[j].Class, &steps[j], annAt(ann, j), mem)
 						}
-						if l := p.classLat(c, s, a, mem); l > worst {
+						if l > worst {
 							worst = l
 						}
 					}
@@ -924,7 +925,7 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, mem MemModel) uin
 					p.cache.nodes[last].succ = ni
 				}
 				last = ni
-				i += ln.count
+				i = end
 				continue
 			}
 		}
@@ -933,22 +934,19 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, mem MemModel) uin
 		// fill unit builds a line alongside (memoized — the segmentation
 		// is a pure function of the trace window).
 		lineMisses++
-		ln, consumed, stable := p.fillCached(steps, ann, i, key)
+		ln, consumed, stable := p.fillCached(steps, ann, hot, i, key)
 		if p.sink != nil {
 			p.obsLookup(steps[i].CodeAddr, false, consumed)
 		}
-		for j := i; j < i+consumed; j++ {
-			s := &steps[j]
-			gasCharged += s.GasCost
-			var lat uint64
-			if c := latClass[s.Op]; c != latNone {
-				var a Annotation
-				if ann != nil && j < len(ann) {
-					a = ann[j]
-				}
-				lat = p.classLat(c, s, a, mem)
+		end := i + consumed
+		gasCharged += gp[end] - gp[i]
+		cycles += uint64(consumed)
+		for j := int(ns[i]); j < end; j = int(ns[j+1]) {
+			if flatOK {
+				cycles += p.flatLat(hot[j].Class, uint64(words[j]))
+			} else {
+				cycles += p.classLat(hot[j].Class, &steps[j], annAt(ann, j), mem)
 			}
-			cycles += 1 + lat
 		}
 		instructions += uint64(consumed)
 		issueCycles += uint64(consumed)
@@ -975,296 +973,7 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, mem MemModel) uin
 			}
 			last = -1
 		}
-		i += consumed
-	}
-	p.stats.Cycles += cycles
-	p.stats.Instructions += instructions
-	p.stats.IssueCycles += issueCycles
-	p.stats.LineHits += lineHits
-	p.stats.LineMisses += lineMisses
-	p.stats.HitInstructions += hitInstructions
-	p.stats.GasCharged += gasCharged
-	if p.sink != nil {
-		p.flushObs()
-	}
-	return cycles
-}
-
-// lineMatches reports whether the trace window at start reproduces the
-// line's recorded pc sequence, folded members included (the caller has
-// already checked that start+ln.count fits the stream). Code is
-// immutable and lines never span frames, so a full pc match implies the
-// window's ops and frame match the line too.
-func lineMatches(ln *line, steps []evm.Step, start int) bool {
-	k := start
-	for mi := range ln.insts {
-		m := &ln.insts[mi]
-		if m.hasFolded {
-			if steps[k].PC != m.foldedPC {
-				return false
-			}
-			k++
-		}
-		if steps[k].PC != m.pc {
-			return false
-		}
-		k++
-	}
-	return true
-}
-
-// HotStep is the compact per-step image of the replay hit path: the
-// step's packed line key, its gas cost, and its latency class — 16
-// bytes against evm.Step's cache-line-and-a-half, so the line-head load
-// and the member walk of ExecuteHot stream an order of magnitude less
-// memory. Built once per plan (HotSteps); instructions with a stall
-// class still load the full step for their latency inputs.
-type HotStep struct {
-	Key   uint64
-	Gas   uint32
-	Class uint8
-	_     byte
-	// Depth is the call depth (≤ 1024, so uint16 is exact); with the
-	// code id in Key's high half it answers sameFrame without the step.
-	Depth uint16
-}
-
-// HotSteps builds the compact hit-path image of an interned step
-// stream. It returns nil — callers fall back to the full-step path —
-// when any step lacks an interned code id or has a pc, gas cost, or
-// depth outside the packed ranges (never the case for real traces).
-func HotSteps(steps []evm.Step) []HotStep {
-	hot := make([]HotStep, len(steps))
-	for i := range steps {
-		s := &steps[i]
-		if s.CodeID == 0 || s.PC > 0xffffffff || s.GasCost > 0xffffffff ||
-			s.Depth < 0 || s.Depth > 0xffff {
-			return nil
-		}
-		hot[i] = HotStep{
-			Key:   uint64(s.CodeID)<<32 | uint64(uint32(s.PC)),
-			Gas:   uint32(s.GasCost),
-			Class: latClass[s.Op],
-			Depth: uint16(s.Depth),
-		}
-	}
-	return hot
-}
-
-// sameFrameHot is sameFrame on the compact image: equal depth and equal
-// code id (HotSteps only builds fully interned images, where equal ids
-// coincide with equal addresses).
-func sameFrameHot(a, b *HotStep) bool {
-	return a.Depth == b.Depth && a.Key>>32 == b.Key>>32
-}
-
-// HotPlan is the per-plan precomputation behind ExecuteHot: the compact
-// HotStep image plus gas prefix sums and a next-stall index, so the hit
-// and miss paths charge any window's gas with one subtraction and walk
-// only the instructions that can stall.
-type HotPlan struct {
-	Steps []HotStep
-	// GasPrefix[i] is the total gas of Steps[:i] (len(Steps)+1 entries).
-	GasPrefix []uint64
-	// NextStall[i] is the first index >= i whose latency class is not
-	// latNone (len(Steps)+1 entries; NextStall[len] == len), so stall
-	// walks advance stall-to-stall in ascending order — preserving the
-	// MemModel call order of the full walk.
-	NextStall []int32
-	// Words[i] is the step's memory footprint in 32-byte words — the
-	// SHA3/copy stall multiplier — so flat stall walks never load the
-	// 128-byte step.
-	Words []uint32
-	// NoPrefetch records that no annotation marks a prefetched access,
-	// making every flat-memory stall a pure function of the latency
-	// class (plus SHA3/copy footprints) — the precondition for serving
-	// hits from line.flatWorst.
-	NoPrefetch bool
-	// KeySum[i] is the sum of mix64'd pcs of Steps[:i] (len(Steps)+1
-	// entries), so the hit path checks a whole window's pc sequence
-	// against line.keySum with one subtraction.
-	KeySum []uint64
-}
-
-// NewHotPlan precomputes the hot-path image of an interned step stream,
-// or nil — callers fall back to Execute — when HotSteps rejects it.
-func NewHotPlan(steps []evm.Step, ann []Annotation) *HotPlan {
-	hot := HotSteps(steps)
-	if hot == nil {
-		return nil
-	}
-	n := len(hot)
-	hp := &HotPlan{
-		Steps:      hot,
-		GasPrefix:  make([]uint64, n+1),
-		NextStall:  make([]int32, n+1),
-		Words:      make([]uint32, n),
-		NoPrefetch: true,
-		KeySum:     make([]uint64, n+1),
-	}
-	for i := range hot {
-		hp.GasPrefix[i+1] = hp.GasPrefix[i] + uint64(hot[i].Gas)
-		hp.KeySum[i+1] = hp.KeySum[i] + mix64(uint64(uint32(hot[i].Key)))
-		w := (steps[i].MemBytes + 31) / 32
-		if w > 0xffffffff {
-			return nil
-		}
-		hp.Words[i] = uint32(w)
-	}
-	hp.NextStall[n] = int32(n)
-	for i := n - 1; i >= 0; i-- {
-		if hot[i].Class != latNone {
-			hp.NextStall[i] = int32(i)
-		} else {
-			hp.NextStall[i] = hp.NextStall[i+1]
-		}
-	}
-	for i := range ann {
-		if ann[i].Prefetched {
-			hp.NoPrefetch = false
-			break
-		}
-	}
-	return hp
-}
-
-// ExecuteHot is Execute given a precomputed HotPlan of the same stream
-// (nil falls back to Execute). The replay is cycle-identical — the plan
-// only removes redundant work from the walks: gas comes from prefix
-// sums, stall walks skip stall-free instructions (FlatMem is stateless
-// and walks stay ascending, so MemModel observes the same calls in the
-// same order), and the hit-path lineMatches walk reduces to one keySum
-// prefix subtraction (the window's mixed-pc sum equals line.keySum
-// exactly when every pc Execute would compare matches, up to a
-// negligible 2^-64 mix collision). The loop mirrors Execute's; changes
-// to one must land in both.
-func (p *Pipeline) ExecuteHot(steps []evm.Step, ann []Annotation, hp *HotPlan, mem MemModel) uint64 {
-	if hp == nil || len(hp.Steps) != len(steps) || !p.cfg.EnableDBCache {
-		return p.Execute(steps, ann, mem)
-	}
-	if mem == nil {
-		mem = FlatMem{Cfg: p.cfg}
-	}
-	hot, gp, ns, words := hp.Steps, hp.GasPrefix, hp.NextStall, hp.Words
-	// Under a flat memory model agreeing with the pipeline's config on
-	// every latency a stall walk can read, with no prefetched
-	// annotations, stalls are a pure function of the latency class and
-	// footprint: hits use the precomputed line.flatWorst and walks use
-	// the devirtualized flatLat. Field-wise compare — a whole-Config
-	// equality is a memeq per call.
-	fm, isFlat := mem.(FlatMem)
-	flatOK := isFlat && hp.NoPrefetch &&
-		fm.Cfg.MainMemLat == p.cfg.MainMemLat &&
-		fm.Cfg.StorageWriteLat == p.cfg.StorageWriteLat &&
-		fm.Cfg.ContextSwitchLat == p.cfg.ContextSwitchLat &&
-		fm.Cfg.Sha3PerWordLat == p.cfg.Sha3PerWordLat &&
-		fm.Cfg.CopyPerWordLat == p.cfg.CopyPerWordLat
-	var cycles uint64
-	var instructions, issueCycles, lineHits, lineMisses, hitInstructions, gasCharged uint64
-	last := int32(-1)
-
-	for i := 0; i < len(steps); {
-		key := hot[i].Key
-		ni := int32(-1)
-		if last >= 0 {
-			if h := p.cache.nodes[last].succ; h >= 0 && p.cache.nodes[h].key == key {
-				ni = h
-			}
-		}
-		if ni < 0 {
-			ni = p.cache.dir.get(key)
-		}
-		if ni >= 0 {
-			p.cache.touch(ni)
-			ln := p.cache.resolve(ni)
-			if end := i + ln.count; end <= len(steps) &&
-				hp.KeySum[end]-hp.KeySum[i] == ln.keySum {
-				// The prefix-sum check stands in for Execute's full pc
-				// walk (see the function comment); a mismatched window —
-				// a Contract-Table-rewritten variant sharing the entry
-				// key — falls through to the miss path and is refilled.
-				if p.sink != nil {
-					p.obsLookup(steps[i].CodeAddr, true, ln.count)
-				}
-				gasCharged += gp[end] - gp[i]
-				var worst uint64
-				if flatOK && ln.flatWorst != lineDynStall {
-					worst = uint64(ln.flatWorst)
-				} else {
-					for j := int(ns[i]); j < end; j = int(ns[j+1]) {
-						var l uint64
-						if flatOK {
-							l = p.flatLat(hot[j].Class, uint64(words[j]))
-						} else {
-							var a Annotation
-							if ann != nil && j < len(ann) {
-								a = ann[j]
-							}
-							l = p.classLat(hot[j].Class, &steps[j], a, mem)
-						}
-						if l > worst {
-							worst = l
-						}
-					}
-				}
-				cycles += 1 + worst
-				issueCycles++
-				lineHits++
-				hitInstructions += uint64(ln.count)
-				instructions += uint64(ln.count)
-				if last >= 0 {
-					p.cache.nodes[last].succ = ni
-				}
-				last = ni
-				i = end
-				continue
-			}
-		}
-
-		lineMisses++
-		ln, consumed, stable := p.fillCachedHot(steps, ann, hot, i, key)
-		if p.sink != nil {
-			p.obsLookup(steps[i].CodeAddr, false, consumed)
-		}
-		end := i + consumed
-		gasCharged += gp[end] - gp[i]
-		cycles += uint64(consumed)
-		for j := int(ns[i]); j < end; j = int(ns[j+1]) {
-			if flatOK {
-				cycles += p.flatLat(hot[j].Class, uint64(words[j]))
-			} else {
-				var a Annotation
-				if ann != nil && j < len(ann) {
-					a = ann[j]
-				}
-				cycles += p.classLat(hot[j].Class, &steps[j], a, mem)
-			}
-		}
-		instructions += uint64(consumed)
-		issueCycles += uint64(consumed)
-		if ln != nil && ln.count >= max(2, p.cfg.MinLineInstructions) {
-			idx, evicted := p.cache.insert(key, ln, stable)
-			p.stats.LinesCached++
-			if evicted {
-				p.stats.LineEvictions++
-			}
-			if p.sink != nil {
-				p.pend.AddFill(ln.count)
-				if evicted {
-					p.pend.Evictions++
-				}
-			}
-			if last >= 0 {
-				p.cache.nodes[last].succ = idx
-			}
-			last = idx
-		} else {
-			if consumed == 1 {
-				p.sideTable.add(key)
-			}
-			last = -1
-		}
-		i += consumed
+		i = end
 	}
 	p.stats.Cycles += cycles
 	p.stats.Instructions += instructions
@@ -1306,68 +1015,29 @@ func (p *Pipeline) flushObs() {
 	p.pend.Reset()
 }
 
-// fillCached returns fill's result for the window at start, serving it
-// from the segment memo when the recorded context still matches and
-// recording a fresh segment (replacing any stale one) otherwise.
-// fillCached's stable result reports whether the returned line pointer
-// outlives the call unchanged for the pipeline's whole life: true only
-// for shared-memo segments (the memo is frozen after construction).
-// Overlay segments live in segArena, which may still grow and move, and
-// real fills return the reused scratch buffer — both must be copied if
-// retained.
-func (p *Pipeline) fillCached(steps []evm.Step, ann []Annotation, start int, key uint64) (ln *line, consumed int, stable bool) {
-	if m := p.memo; m != nil {
-		if si := m.idx.get(key); si >= 0 {
-			if seg := &m.arena[si]; p.segValid(seg, steps, ann, start) {
-				p.stats.FoldedPairs += seg.folded
-				p.stats.ForwardedRAWs += seg.forwarded
-				if !seg.hasLine {
-					return nil, seg.consumed, false
-				}
-				return &seg.ln, seg.consumed, true
-			}
-		}
-	}
-	if si := p.segIdx.get(key); si >= 0 {
-		if seg := &p.segArena[si]; p.segValid(seg, steps, ann, start) {
-			p.stats.FoldedPairs += seg.folded
-			p.stats.ForwardedRAWs += seg.forwarded
-			if !seg.hasLine {
-				return nil, seg.consumed, false
-			}
-			// The caller only reads the line (insert copies it), so the
-			// memo's own copy is handed out directly.
-			return &seg.ln, seg.consumed, false
-		}
-	}
-	f0, r0 := p.stats.FoldedPairs, p.stats.ForwardedRAWs
-	ln, consumed = p.fill(steps, ann, start)
-	p.recordSeg(key, ln, consumed, steps, ann, start,
-		p.stats.FoldedPairs-f0, p.stats.ForwardedRAWs-r0)
-	return ln, consumed, false
-}
-
 // segValid reports whether replaying fill at start would reproduce seg
 // exactly: the window's pcs and call frame, its ConstOperands, and —
 // when the original fill's break looked past the window — the break
-// context must all match what was recorded.
-func (p *Pipeline) segValid(seg *segment, steps []evm.Step, ann []Annotation, start int) bool {
-	if start+seg.consumed > len(steps) {
+// context must all match what was recorded. It reads the compact step
+// image (pc and frame from the packed key and depth); n is the stream
+// length.
+func (p *Pipeline) segValid(seg *segment, hot []HotStep, ann []Annotation, start, n int) bool {
+	if start+seg.consumed > n {
 		return false
 	}
-	w0 := &steps[start]
+	h0 := &hot[start]
 	k := start
 	for mi := range seg.ln.insts {
 		m := &seg.ln.insts[mi]
 		if m.hasFolded {
-			s := &steps[k]
-			if s.PC != m.foldedPC || !sameFrame(w0, s) {
+			h := &hot[k]
+			if uint64(uint32(h.Key)) != m.foldedPC || !h0.sameFrame(h) {
 				return false
 			}
 			k++
 		}
-		s := &steps[k]
-		if s.PC != m.pc || !sameFrame(w0, s) {
+		h := &hot[k]
+		if uint64(uint32(h.Key)) != m.pc || !h0.sameFrame(h) {
 			return false
 		}
 		k++
@@ -1389,92 +1059,21 @@ func (p *Pipeline) segValid(seg *segment, steps []evm.Step, ann []Annotation, st
 		// was consulted.
 		return true
 	case termEnd:
-		return start+seg.consumed == len(steps)
+		return start+seg.consumed == n
 	}
 	// termNext: the break candidate (and possibly its fold lookahead)
 	// shaped the decision.
-	j := start + seg.consumed
-	if j >= len(steps) {
-		return false
-	}
-	b0 := &steps[j]
-	if sameFrame(w0, b0) != seg.nextSame[0] {
-		return false
-	}
-	if !seg.nextSame[0] {
-		// The break was the frame change itself; only the frame flag of
-		// the candidate was ever read.
-		return true
-	}
-	if b0.PC != seg.nextPC[0] || constAt(ann, j) != seg.nextConst[0] {
-		return false
-	}
-	if (j+1 < len(steps)) != seg.nextOK[1] {
-		return false
-	}
-	if seg.nextOK[1] {
-		b1 := &steps[j+1]
-		if sameFrame(w0, b1) != seg.nextSame[1] {
-			return false
-		}
-		if seg.nextSame[1] && (b1.PC != seg.nextPC[1] || constAt(ann, j+1) != seg.nextConst[1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// segValidHot is segValid reading the compact step image instead of
-// full steps: pc and frame checks use the packed key and depth. The
-// verification is exactly equivalent (see sameFrameHot); n is the
-// stream length.
-func (p *Pipeline) segValidHot(seg *segment, hot []HotStep, ann []Annotation, start, n int) bool {
-	if start+seg.consumed > n {
-		return false
-	}
-	h0 := &hot[start]
-	k := start
-	for mi := range seg.ln.insts {
-		m := &seg.ln.insts[mi]
-		if m.hasFolded {
-			h := &hot[k]
-			if uint64(uint32(h.Key)) != m.foldedPC || !sameFrameHot(h0, h) {
-				return false
-			}
-			k++
-		}
-		h := &hot[k]
-		if uint64(uint32(h.Key)) != m.pc || !sameFrameHot(h0, h) {
-			return false
-		}
-		k++
-	}
-	if ann == nil {
-		if seg.constMask != 0 {
-			return false
-		}
-	} else {
-		for j := 0; j < seg.consumed; j++ {
-			if constAt(ann, start+j) != ((seg.constMask>>uint(j))&1 != 0) {
-				return false
-			}
-		}
-	}
-	switch seg.term {
-	case termEnder:
-		return true
-	case termEnd:
-		return start+seg.consumed == n
-	}
 	j := start + seg.consumed
 	if j >= n {
 		return false
 	}
 	b0 := &hot[j]
-	if sameFrameHot(h0, b0) != seg.nextSame[0] {
+	if h0.sameFrame(b0) != seg.nextSame[0] {
 		return false
 	}
 	if !seg.nextSame[0] {
+		// The break was the frame change itself; only the frame flag of
+		// the candidate was ever read.
 		return true
 	}
 	if uint64(uint32(b0.Key)) != seg.nextPC[0] || constAt(ann, j) != seg.nextConst[0] {
@@ -1485,7 +1084,7 @@ func (p *Pipeline) segValidHot(seg *segment, hot []HotStep, ann []Annotation, st
 	}
 	if seg.nextOK[1] {
 		b1 := &hot[j+1]
-		if sameFrameHot(h0, b1) != seg.nextSame[1] {
+		if h0.sameFrame(b1) != seg.nextSame[1] {
 			return false
 		}
 		if seg.nextSame[1] && (uint64(uint32(b1.Key)) != seg.nextPC[1] || constAt(ann, j+1) != seg.nextConst[1]) {
@@ -1495,13 +1094,21 @@ func (p *Pipeline) segValidHot(seg *segment, hot []HotStep, ann []Annotation, st
 	return true
 }
 
-// fillCachedHot is fillCached verifying memo segments against the
-// compact step image; real fills still read the full steps.
-func (p *Pipeline) fillCachedHot(steps []evm.Step, ann []Annotation, hot []HotStep, start int, key uint64) (ln *line, consumed int, stable bool) {
+// fillCached returns fill's result for the window at start, serving it
+// from the segment memo when the recorded context still matches and
+// recording a fresh segment (replacing any stale one) otherwise. Memo
+// segments are verified against the compact step image; real fills read
+// the full steps. The stable result reports whether the returned line
+// pointer outlives the call unchanged for the pipeline's whole life:
+// true only for shared-memo segments (the memo is frozen after
+// construction). Overlay segments live in segArena, which may still grow
+// and move, and real fills return the reused scratch buffer — both must
+// be copied if retained.
+func (p *Pipeline) fillCached(steps []evm.Step, ann []Annotation, hot []HotStep, start int, key uint64) (ln *line, consumed int, stable bool) {
 	n := len(hot)
 	if m := p.memo; m != nil {
 		if si := m.idx.get(key); si >= 0 {
-			if seg := &m.arena[si]; p.segValidHot(seg, hot, ann, start, n) {
+			if seg := &m.arena[si]; p.segValid(seg, hot, ann, start, n) {
 				p.stats.FoldedPairs += seg.folded
 				p.stats.ForwardedRAWs += seg.forwarded
 				if !seg.hasLine {
@@ -1512,26 +1119,22 @@ func (p *Pipeline) fillCachedHot(steps []evm.Step, ann []Annotation, hot []HotSt
 		}
 	}
 	if si := p.segIdx.get(key); si >= 0 {
-		if seg := &p.segArena[si]; p.segValidHot(seg, hot, ann, start, n) {
+		if seg := &p.segArena[si]; p.segValid(seg, hot, ann, start, n) {
 			p.stats.FoldedPairs += seg.folded
 			p.stats.ForwardedRAWs += seg.forwarded
 			if !seg.hasLine {
 				return nil, seg.consumed, false
 			}
+			// The caller only reads the line (insert copies it), so the
+			// memo's own copy is handed out directly.
 			return &seg.ln, seg.consumed, false
 		}
 	}
 	f0, r0 := p.stats.FoldedPairs, p.stats.ForwardedRAWs
 	ln, consumed = p.fill(steps, ann, start)
-	p.recordSeg(key, ln, consumed, steps, ann, start,
+	recordInto(&p.segIdx, &p.segArena, key, ln, consumed, steps, ann, start,
 		p.stats.FoldedPairs-f0, p.stats.ForwardedRAWs-r0)
 	return ln, consumed, false
-}
-
-// recordSeg stores the outcome of one real fill in the pipeline's
-// private overlay memo.
-func (p *Pipeline) recordSeg(key uint64, ln *line, consumed int, steps []evm.Step, ann []Annotation, start int, folded, forwarded uint64) {
-	recordInto(&p.segIdx, &p.segArena, key, ln, consumed, steps, ann, start, folded, forwarded)
 }
 
 // recordInto stores the outcome of one real fill into a memo's storage;
@@ -1604,12 +1207,10 @@ func recordInto(idx *codeDir, arena *[]segment, key uint64, ln *line, consumed i
 
 // FillMemo is a fill-segmentation memo shared across pipelines: the
 // canonical segments of a plan set, computed once and consulted
-// read-only by every PU and every replay of the same cached entry. It
-// only holds segments for interned steps (CodeID != 0) — local ids are
-// assigned per pipeline and would alias across sharers. Reuse goes
-// through the same segValid verification as the private overlay, so a
-// memo built from one trace serves another only where the decision
-// context genuinely matches.
+// read-only by every PU and every replay of the same cached entry.
+// Reuse goes through the same segValid verification as the private
+// overlay, so a memo built from one trace serves another only where the
+// decision context genuinely matches.
 type FillMemo struct {
 	cfg   arch.Config
 	idx   codeDir
@@ -1642,12 +1243,10 @@ func (m *FillMemo) AddTrace(steps []evm.Step, ann []Annotation) {
 	for i := 0; i < len(steps); {
 		f0, r0 := b.stats.FoldedPairs, b.stats.ForwardedRAWs
 		ln, consumed := b.fill(steps, ann, i)
-		if id := steps[i].CodeID; id != 0 {
-			key := uint64(id)<<32 | uint64(uint32(steps[i].PC))
-			if m.idx.get(key) < 0 {
-				recordInto(&m.idx, &m.arena, key, ln, consumed, steps, ann, i,
-					b.stats.FoldedPairs-f0, b.stats.ForwardedRAWs-r0)
-			}
+		key := packKey(&steps[i])
+		if m.idx.get(key) < 0 {
+			recordInto(&m.idx, &m.arena, key, ln, consumed, steps, ann, i,
+				b.stats.FoldedPairs-f0, b.stats.ForwardedRAWs-r0)
 		}
 		i += consumed
 	}
@@ -1834,17 +1433,11 @@ func (p *Pipeline) fill(steps []evm.Step, ann []Annotation, start int) (*line, i
 }
 
 // sameFrame reports whether two steps execute in the same call frame, so
-// a line never spans a context switch.
+// a line never spans a context switch. Interned ids stand in for the
+// 20-byte address compare: within one block's symbol table, equal
+// addresses and equal ids coincide.
 func sameFrame(a, b *evm.Step) bool {
-	if a.Depth != b.Depth {
-		return false
-	}
-	// Interned ids stand in for the 20-byte address compare: within one
-	// block's symbol table, equal addresses and equal ids coincide.
-	if a.CodeID != 0 && b.CodeID != 0 {
-		return a.CodeID == b.CodeID
-	}
-	return a.CodeAddr == b.CodeAddr
+	return a.Depth == b.Depth && a.CodeID == b.CodeID
 }
 
 // Latency classes partition opcodes by which extra-latency rule applies,
@@ -1905,8 +1498,8 @@ func (p *Pipeline) classLat(c uint8, s *evm.Step, a Annotation, mem MemModel) ui
 }
 
 // flatLat is classLat specialized to a FlatMem agreeing with the
-// pipeline's config, with no prefetched annotations — ExecuteHot's
-// flatOK precondition. words is the step's precomputed footprint
+// pipeline's config, with no prefetched annotations — Execute's flatOK
+// precondition. words is the step's precomputed footprint
 // (HotPlan.Words); the returned stalls are identical to classLat's.
 func (p *Pipeline) flatLat(c uint8, words uint64) uint64 {
 	switch c {
@@ -1922,16 +1515,6 @@ func (p *Pipeline) flatLat(c uint8, words uint64) uint64 {
 		return p.cfg.CopyPerWordLat * words
 	}
 	return 0
-}
-
-// extraLat returns the stall cycles of one instruction beyond its issue
-// slot.
-func (p *Pipeline) extraLat(s *evm.Step, a Annotation, mem MemModel) uint64 {
-	c := latClass[s.Op]
-	if c == latNone {
-		return 0
-	}
-	return p.classLat(c, s, a, mem)
 }
 
 func annAt(ann []Annotation, i int) Annotation {

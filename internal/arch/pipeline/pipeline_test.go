@@ -34,12 +34,24 @@ func ilpConfig() arch.Config {
 	return cfg
 }
 
+// syms interns every hand-built step of this file, the way a Collector
+// interns a real trace.
+var syms = arch.NewSymbolTable()
+
+// run interns steps and replays them through p.
+func run(p *Pipeline, steps []evm.Step, ann []Annotation, mem MemModel) uint64 {
+	for i := range steps {
+		syms.Intern(&steps[i])
+	}
+	return p.Execute(steps, ann, NewHotPlan(steps, ann), mem)
+}
+
 // runTwice executes the steps twice, returning second-pass stats.
 func runTwice(cfg arch.Config, steps []evm.Step) Stats {
 	p := New(cfg)
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	p.ResetStats()
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	return p.Stats()
 }
 
@@ -47,7 +59,7 @@ func TestScalarOneInstructionPerCycle(t *testing.T) {
 	cfg := arch.ScalarConfig()
 	p := New(cfg)
 	steps := seq(evm.PUSH1, evm.PUSH1, evm.ADD, evm.POP, evm.STOP)
-	cycles := p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	cycles := run(p, steps, nil, FlatMem{Cfg: cfg})
 	if cycles != 5 {
 		t.Fatalf("scalar cycles %d, want 5", cycles)
 	}
@@ -80,9 +92,9 @@ func TestUnitConflictEndsLine(t *testing.T) {
 		step(2, evm.MLOAD), step(3, evm.POP),
 		step(4, evm.STOP),
 	}
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	p.ResetStats()
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	st := p.Stats()
 	// At least two separate lines: a single 5-instruction line would mean
 	// the Memory unit held two instructions.
@@ -112,7 +124,7 @@ func TestSecondRAWEndsLineWithoutForwarding(t *testing.T) {
 	cfgF := ilpConfig()
 	cfgF.EnableFolding = false
 	pf := New(cfgF)
-	pf.Execute(single, nil, FlatMem{Cfg: cfgF})
+	run(pf, single, nil, FlatMem{Cfg: cfgF})
 	if pf.Stats().ForwardedRAWs == 0 { // forwarding happens at fill time
 		t.Fatalf("forwarding never used: %+v", pf.Stats())
 	}
@@ -137,12 +149,12 @@ func TestFoldingCombinesPushConsumer(t *testing.T) {
 		step(10, evm.JUMPI),
 		step(11, evm.STOP),
 	}
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	if p.Stats().FoldedPairs == 0 {
 		t.Fatalf("PUSH4+EQ not folded: %+v", p.Stats())
 	}
 	p.ResetStats()
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	st := p.Stats()
 	// Dispatcher line: DUP1 + folded(PUSH4,EQ) + PUSH2 + JUMPI = 5
 	// instructions in ideally one line.
@@ -163,9 +175,9 @@ func TestBranchEndsLine(t *testing.T) {
 		step(11, evm.CALLER),
 		step(12, evm.STOP),
 	}
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	p.ResetStats()
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	st := p.Stats()
 	if st.LineHits < 2 {
 		t.Fatalf("branch did not end line: %+v", st)
@@ -187,7 +199,7 @@ func TestSingleInstructionLinesNotCached(t *testing.T) {
 	}
 	_ = steps
 	// Direct check: a 1-instruction fill is not inserted.
-	p.Execute([]evm.Step{step(0, evm.STOP)}, nil, FlatMem{Cfg: cfg})
+	run(p, []evm.Step{step(0, evm.STOP)}, nil, FlatMem{Cfg: cfg})
 	if p.CacheLines() != 0 {
 		t.Fatalf("%d lines cached for single STOP", p.CacheLines())
 	}
@@ -207,8 +219,8 @@ func TestGasInvariant(t *testing.T) {
 			cfg = ilpConfig()
 		}
 		p := New(cfg)
-		p.Execute(steps, nil, FlatMem{Cfg: cfg})
-		p.Execute(steps, nil, FlatMem{Cfg: cfg})
+		run(p, steps, nil, FlatMem{Cfg: cfg})
+		run(p, steps, nil, FlatMem{Cfg: cfg})
 		if got := p.Stats().GasCharged; got != 2*want {
 			t.Errorf("%s: gas %d, want %d", mode, got, 2*want)
 		}
@@ -225,11 +237,11 @@ func TestCrossContractTagIsolation(t *testing.T) {
 		b[i].CodeAddr = codeB
 		b[i].Op = []evm.Opcode{evm.PUSH1, evm.ORIGIN, evm.SUB, evm.STOP}[i]
 	}
-	p.Execute(a, nil, FlatMem{Cfg: cfg})
+	run(p, a, nil, FlatMem{Cfg: cfg})
 	// Same pcs, different contract: must not hit contract A's lines (and
 	// must not panic on divergence).
 	p.ResetStats()
-	p.Execute(b, nil, FlatMem{Cfg: cfg})
+	run(p, b, nil, FlatMem{Cfg: cfg})
 	if p.Stats().LineHits != 0 {
 		t.Fatalf("cross-contract cache hit: %+v", p.Stats())
 	}
@@ -245,19 +257,19 @@ func TestLRUEviction(t *testing.T) {
 			step(pcBase+3, evm.MSTORE), step(pcBase+4, evm.JUMP),
 		}
 	}
-	p.Execute(mk(0), nil, FlatMem{Cfg: cfg})   // line @0
-	p.Execute(mk(100), nil, FlatMem{Cfg: cfg}) // line @100
-	p.Execute(mk(200), nil, FlatMem{Cfg: cfg}) // line @200 evicts @0
+	run(p, mk(0), nil, FlatMem{Cfg: cfg})   // line @0
+	run(p, mk(100), nil, FlatMem{Cfg: cfg}) // line @100
+	run(p, mk(200), nil, FlatMem{Cfg: cfg}) // line @200 evicts @0
 	if p.CacheLines() != 2 {
 		t.Fatalf("cache holds %d lines, cap 2", p.CacheLines())
 	}
 	p.ResetStats()
-	p.Execute(mk(0), nil, FlatMem{Cfg: cfg}) // must miss (evicted)
+	run(p, mk(0), nil, FlatMem{Cfg: cfg}) // must miss (evicted)
 	if p.Stats().LineHits != 0 {
 		t.Fatalf("evicted line hit")
 	}
 	p.ResetStats()
-	p.Execute(mk(0), nil, FlatMem{Cfg: cfg}) // refilled now
+	run(p, mk(0), nil, FlatMem{Cfg: cfg}) // refilled now
 	if p.Stats().LineHits != 1 {
 		t.Fatalf("refilled line missed: %+v", p.Stats())
 	}
@@ -267,7 +279,7 @@ func TestFlushClearsCache(t *testing.T) {
 	cfg := ilpConfig()
 	p := New(cfg)
 	steps := seq(evm.CALLER, evm.PUSH1, evm.MSTORE, evm.STOP)
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	if p.CacheLines() == 0 {
 		t.Fatal("nothing cached")
 	}
@@ -282,7 +294,7 @@ func TestStorageLatencyDominatesStalls(t *testing.T) {
 	p := New(cfg)
 	sloadStep := step(0, evm.SLOAD)
 	stop := step(1, evm.STOP)
-	cycles := p.Execute([]evm.Step{sloadStep, stop}, nil, FlatMem{Cfg: cfg})
+	cycles := run(p, []evm.Step{sloadStep, stop}, nil, FlatMem{Cfg: cfg})
 	want := 2 + cfg.MainMemLat
 	if cycles != want {
 		t.Fatalf("SLOAD cycles %d, want %d", cycles, want)
@@ -293,9 +305,9 @@ func TestPrefetchAnnotationReducesLatency(t *testing.T) {
 	cfg := arch.ScalarConfig()
 	p := New(cfg)
 	steps := []evm.Step{step(0, evm.SLOAD), step(1, evm.STOP)}
-	slow := p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	slow := run(p, steps, nil, FlatMem{Cfg: cfg})
 	p2 := New(cfg)
-	fast := p2.Execute(steps, []Annotation{{Prefetched: true}, {}}, FlatMem{Cfg: cfg})
+	fast := run(p2, steps, []Annotation{{Prefetched: true}, {}}, FlatMem{Cfg: cfg})
 	if fast >= slow {
 		t.Fatalf("prefetch did not help: %d vs %d", fast, slow)
 	}
@@ -314,15 +326,15 @@ func TestConstOperandsRemoveRAW(t *testing.T) {
 	ann := []Annotation{{}, {ConstOperands: true}, {}}
 
 	p1 := New(cfg)
-	p1.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p1, steps, nil, FlatMem{Cfg: cfg})
 	p1.ResetStats()
-	p1.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p1, steps, nil, FlatMem{Cfg: cfg})
 	without := p1.Stats().IPC()
 
 	p2 := New(cfg)
-	p2.Execute(steps, ann, FlatMem{Cfg: cfg})
+	run(p2, steps, ann, FlatMem{Cfg: cfg})
 	p2.ResetStats()
-	p2.Execute(steps, ann, FlatMem{Cfg: cfg})
+	run(p2, steps, ann, FlatMem{Cfg: cfg})
 	with := p2.Stats().IPC()
 
 	if with <= without {
@@ -346,7 +358,7 @@ func TestHitRatioMonotoneInCacheSize(t *testing.T) {
 		cfg := ilpConfig()
 		cfg.DBCacheEntries = size
 		p := New(cfg)
-		p.Execute(all, nil, FlatMem{Cfg: cfg})
+		run(p, all, nil, FlatMem{Cfg: cfg})
 		hr := p.Stats().HitRatio()
 		if hr < prev-0.01 {
 			t.Fatalf("hit ratio fell from %.3f to %.3f at size %d", prev, hr, size)
@@ -379,9 +391,9 @@ func TestFrameBoundaryEndsLine(t *testing.T) {
 		{PC: 2, Op: evm.CALLER, Depth: 2, CodeAddr: codeB}, // inner frame
 		{PC: 3, Op: evm.STOP, Depth: 2, CodeAddr: codeB},
 	}
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	p.ResetStats()
-	p.Execute(steps, nil, FlatMem{Cfg: cfg})
+	run(p, steps, nil, FlatMem{Cfg: cfg})
 	// The PUSH at depth 1 cannot share a line with depth-2 instructions.
 	for _, d := range []int{1, 2} {
 		_ = d
@@ -411,9 +423,7 @@ func TestAvgLineSize(t *testing.T) {
 // transactions of one contract can share a line's entry key with
 // different downstream pc streams. A tag hit on the stale variant must
 // degrade to an ordinary miss that refills the line — priced exactly
-// like a cold miss, never mis-charged — and the local-id Execute,
-// interned Execute, and ExecuteHot paths must all price the mixed
-// stream identically.
+// like a cold miss, never mis-charged, never a panic.
 func TestRewrittenVariantFallsBackToMiss(t *testing.T) {
 	plain := []evm.Step{
 		step(0, evm.PUSH1), step(2, evm.PUSH1), step(4, evm.ADD),
@@ -426,72 +436,100 @@ func TestRewrittenVariantFallsBackToMiss(t *testing.T) {
 		step(0, evm.PUSH1), step(4, evm.ADD), step(5, evm.POP),
 		step(2, evm.PUSH1), step(6, evm.STOP),
 	}
-	intern := func(src []evm.Step) []evm.Step {
-		out := append([]evm.Step(nil), src...)
-		for i := range out {
-			out[i].CodeID = 5
-		}
-		return out
-	}
 	cfg := ilpConfig()
 	mem := FlatMem{Cfg: cfg}
-	var gasB uint64
+	var gas uint64
 	for i := range rewritten {
-		gasB += rewritten[i].GasCost
+		gas += rewritten[i].GasCost
+	}
+	cold := New(cfg)
+	coldCycles := run(cold, rewritten, nil, mem)
+
+	p := New(cfg)
+	run(p, plain, nil, mem)
+	if p.CacheLines() == 0 {
+		t.Fatal("plain variant cached nothing; the stale-tag case is not exercised")
 	}
 
-	// sequence replays a once, then b twice on one pipeline, returning
-	// the cycles of each call and asserting the stale-tag pass (first b)
-	// misses and the refilled pass (second b) hits.
-	sequence := func(a, b []evm.Step, exec func(p *Pipeline, s []evm.Step) uint64) [3]uint64 {
-		t.Helper()
-		p := New(cfg)
-		var out [3]uint64
-		out[0] = exec(p, a)
+	p.ResetStats()
+	stale := run(p, rewritten, nil, mem)
+	st := p.Stats()
+	if st.LineHits != 0 {
+		t.Fatalf("stale variant served as a hit: %+v", st)
+	}
+	if st.GasCharged != gas {
+		t.Fatalf("gas %d, want %d", st.GasCharged, gas)
+	}
+	if stale != coldCycles {
+		t.Fatalf("stale-tag pass %d cycles, cold miss %d", stale, coldCycles)
+	}
+	if st.LinesCached != cold.Stats().LinesCached {
+		t.Fatalf("stale-tag pass refilled %d lines, cold miss fills %d", st.LinesCached, cold.Stats().LinesCached)
+	}
 
-		p.ResetStats()
-		out[1] = exec(p, b)
-		st := p.Stats()
-		if st.LineHits != 0 {
-			t.Fatalf("stale variant served as a hit: %+v", st)
+	p.ResetStats()
+	run(p, rewritten, nil, mem)
+	if st := p.Stats(); st.LineHits == 0 {
+		t.Fatalf("refill did not replace the stale line: %+v", st)
+	}
+}
+
+// TestStepGasAboveUint32 replays a step whose gas cost does not fit 32
+// bits (a zero-gas-price transaction paying for a large memory
+// expansion). Gas never shapes timing, so the stream must cost exactly
+// the cycles of its cheap twin, on the miss pass and on the hit pass,
+// and charge the exact 64-bit sum. wantCycles are what the full-step
+// loop this entry replaced charged for the same stream.
+func TestStepGasAboveUint32(t *testing.T) {
+	const huge = 1<<33 + 6
+	wantCycles := [2][2]uint64{{6, 6}, {6, 2}} // [scalar, ilp][miss pass, hit pass]
+	for ci, cfg := range []arch.Config{arch.ScalarConfig(), ilpConfig()} {
+		cheap := seq(evm.PUSH1, evm.PUSH4, evm.MSTORE, evm.CALLER, evm.POP, evm.STOP)
+		big := append([]evm.Step(nil), cheap...)
+		big[2].GasCost = huge
+		var want uint64
+		for i := range big {
+			want += big[i].GasCost
 		}
-		if st.GasCharged != gasB {
-			t.Fatalf("gas %d, want %d", st.GasCharged, gasB)
+		mem := FlatMem{Cfg: cfg}
+		pc, pb := New(cfg), New(cfg)
+		for pass := 0; pass < 2; pass++ {
+			pb.ResetStats()
+			if c, b := run(pc, cheap, nil, mem), run(pb, big, nil, mem); c != b || b != wantCycles[ci][pass] {
+				t.Fatalf("dbcache=%v pass %d: %d cycles, cheap twin %d, want %d", cfg.EnableDBCache, pass, b, c, wantCycles[ci][pass])
+			}
+			if got := pb.Stats().GasCharged; got != want {
+				t.Fatalf("dbcache=%v pass %d: gas %d, want %d", cfg.EnableDBCache, pass, got, want)
+			}
 		}
+	}
+}
 
-		p.ResetStats()
-		out[2] = exec(p, b)
-		if st := p.Stats(); st.LineHits == 0 {
-			t.Fatalf("refill did not replace the stale line: %+v", st)
+// TestCallDepthLimitFrame replays frames at the interpreter's deepest
+// call depth: the depth only decides frame equality, so the stream must
+// cost what its shallow twin costs, and the line boundary between the
+// two frames must hold.
+func TestCallDepthLimitFrame(t *testing.T) {
+	cfg := ilpConfig()
+	mk := func(outer int) []evm.Step {
+		return []evm.Step{
+			{PC: 0, Op: evm.PUSH1, Depth: outer, CodeAddr: codeA},
+			{PC: 0, Op: evm.CALLER, Depth: outer + 1, CodeAddr: codeB},
+			{PC: 1, Op: evm.PUSH1, Depth: outer + 1, CodeAddr: codeB},
+			{PC: 3, Op: evm.MSTORE, Depth: outer + 1, CodeAddr: codeB},
+			{PC: 4, Op: evm.STOP, Depth: outer + 1, CodeAddr: codeB},
 		}
-		return out
 	}
-
-	plainExec := func(p *Pipeline, s []evm.Step) uint64 {
-		return p.Execute(s, nil, mem)
-	}
-	local := sequence(plain, rewritten, plainExec)
-
-	// The stale-tag pass must cost exactly what a cold miss costs.
-	if cold := New(cfg).Execute(rewritten, nil, mem); local[1] != cold {
-		t.Fatalf("stale-tag pass %d cycles, cold miss %d", local[1], cold)
-	}
-
-	plainI, rewrittenI := intern(plain), intern(rewritten)
-	interned := sequence(plainI, rewrittenI, plainExec)
-	hpA, hpB := NewHotPlan(plainI, nil), NewHotPlan(rewrittenI, nil)
-	if hpA == nil || hpB == nil {
-		t.Fatal("hot plan rejected an interned stream")
-	}
-	hot := sequence(plainI, rewrittenI, func(p *Pipeline, s []evm.Step) uint64 {
-		hp := hpA
-		if &s[0] == &rewrittenI[0] {
-			hp = hpB
+	mem := FlatMem{Cfg: cfg}
+	shallow, deep := New(cfg), New(cfg)
+	for pass := 0; pass < 2; pass++ {
+		deep.ResetStats()
+		if s, d := run(shallow, mk(1), nil, mem), run(deep, mk(evm.CallDepthLimit-1), nil, mem); s != d {
+			t.Fatalf("pass %d: %d cycles at the depth limit, %d shallow", pass, d, s)
 		}
-		return p.ExecuteHot(s, nil, hp, mem)
-	})
-	if interned != local || hot != local {
-		t.Fatalf("paths disagree: local %v interned %v hot %v", local, interned, hot)
+	}
+	if st := deep.Stats(); st.LineHits == 0 || st.HitInstructions == 5 {
+		t.Fatalf("warm pass at the depth limit: %+v (want hits, none spanning the frames)", st)
 	}
 }
 
@@ -501,7 +539,7 @@ func TestSideTableRecordsSingles(t *testing.T) {
 	cfg.EnableForwarding = false
 	p := New(cfg)
 	// A lone STOP is a single-instruction fill: not cached, side-tabled.
-	p.Execute([]evm.Step{step(0, evm.STOP)}, nil, FlatMem{Cfg: cfg})
+	run(p, []evm.Step{step(0, evm.STOP)}, nil, FlatMem{Cfg: cfg})
 	if p.CacheLines() != 0 {
 		t.Fatal("single cached")
 	}

@@ -40,8 +40,7 @@ func TestProbeUpperBound(t *testing.T) {
 		spipe := pipeline.New(scfg)
 		for _, tr := range traces {
 			p := pu.PlainPlan(tr)
-			steps, ann := pipeline.Split(p.Steps)
-			spipe.Execute(steps, ann, pipeline.FlatMem{Cfg: scfg})
+			spipe.Execute(p.Steps, p.Ann, p.Hot, pipeline.FlatMem{Cfg: scfg})
 		}
 		scalarCycles := spipe.Stats().Cycles
 
@@ -59,8 +58,7 @@ func TestProbeUpperBound(t *testing.T) {
 				}
 				for _, tr := range traces {
 					p := pu.PlainPlan(tr)
-					steps, ann := pipeline.Split(p.Steps)
-					pipe.Execute(steps, ann, pipeline.FlatMem{Cfg: cfg})
+					pipe.Execute(p.Steps, p.Ann, p.Hot, pipeline.FlatMem{Cfg: cfg})
 				}
 			}
 			st := pipe.Stats()

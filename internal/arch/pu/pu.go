@@ -6,8 +6,6 @@
 package pu
 
 import (
-	"sync"
-
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/evm"
@@ -19,14 +17,21 @@ import (
 // ContractResidency unset.
 const DefaultContractResidency = 8
 
-// Plan is a transaction prepared for timing replay: the (possibly
-// hotspot-filtered) steps, their annotations, and per-contract bytecode
-// load scaling from chunk-based loading (§3.4.2).
+// Plan is a transaction prepared for timing replay, in the form the
+// pipeline replays directly: the (possibly hotspot-filtered) steps, their
+// annotations, the precomputed hot-path image of both, and per-contract
+// bytecode load scaling from chunk-based loading (§3.4.2). Plans are
+// only read during replay, so one plan set serves concurrent replays.
 type Plan struct {
 	Trace *arch.TxTrace
 	// Steps are the instructions that actually issue (pre-executed and
-	// eliminated instructions removed). Nil means Trace.Steps unmodified.
-	Steps []pipeline.AnnotatedStep
+	// eliminated instructions removed). A plain plan aliases Trace.Steps,
+	// so neither may be written once the plan exists.
+	Steps []evm.Step
+	// Ann holds the hotspot annotations parallel to Steps; nil means none.
+	Ann []pipeline.Annotation
+	// Hot is pipeline.NewHotPlan(Steps, Ann), built by NewPlan.
+	Hot *pipeline.HotPlan
 	// LoadScale maps a contract address to the fraction of its bytecode
 	// loaded (1.0 when hotspot chunking is off). Missing entries mean 1.
 	LoadScale map[types.Address]float64
@@ -37,39 +42,17 @@ type Plan struct {
 	// Memo is an optional shared fill-segmentation memo (see
 	// AttachFillMemo); the PU attaches it to its pipeline before replay.
 	Memo *pipeline.FillMemo
-
-	splitOnce  sync.Once
-	splitSteps []evm.Step
-	splitAnn   []pipeline.Annotation
-	splitHot   *pipeline.HotPlan
 }
 
-// Split returns the plan's steps separated into the parallel slices the
-// pipeline consumes, computed once per plan and shared by every replay
-// (including concurrent ones) — the slices are read-only during replay.
-func (p *Plan) Split() ([]evm.Step, []pipeline.Annotation) {
-	p.splitOnce.Do(func() {
-		p.splitSteps, p.splitAnn = pipeline.Split(p.Steps)
-		p.splitHot = pipeline.NewHotPlan(p.splitSteps, p.splitAnn)
-	})
-	return p.splitSteps, p.splitAnn
+// NewPlan returns the plan replaying steps (with annotations ann, nil
+// for none) on behalf of trace t. The slices are retained, not copied.
+func NewPlan(t *arch.TxTrace, steps []evm.Step, ann []pipeline.Annotation) *Plan {
+	return &Plan{Trace: t, Steps: steps, Ann: ann, Hot: pipeline.NewHotPlan(steps, ann)}
 }
 
-// Hot returns the precomputed hot-path plan of the steps (nil for
-// un-interned traces), computed alongside Split.
-func (p *Plan) Hot() *pipeline.HotPlan {
-	p.Split()
-	return p.splitHot
-}
-
-// PlainPlan wraps a trace with no hotspot optimization.
-func PlainPlan(t *arch.TxTrace) *Plan {
-	steps := make([]pipeline.AnnotatedStep, len(t.Steps))
-	for i := range t.Steps {
-		steps[i].Step = t.Steps[i]
-	}
-	return &Plan{Trace: t, Steps: steps}
-}
+// PlainPlan wraps a trace with no hotspot optimization, sharing its
+// steps.
+func PlainPlan(t *arch.TxTrace) *Plan { return NewPlan(t, t.Steps, nil) }
 
 // PlainPlans builds the unoptimized plan of every trace.
 func PlainPlans(traces []*arch.TxTrace) []*Plan {
@@ -90,8 +73,7 @@ func PlainPlans(traces []*arch.TxTrace) []*Plan {
 func AttachFillMemo(cfg arch.Config, plans []*Plan) {
 	memo := pipeline.NewFillMemo(cfg)
 	for _, p := range plans {
-		steps, ann := p.Split()
-		memo.AddTrace(steps, ann)
+		memo.AddTrace(p.Steps, p.Ann)
 	}
 	for _, p := range plans {
 		p.Memo = memo
@@ -223,9 +205,8 @@ func (p *PU) Run(plan *Plan, mem pipeline.MemModel) Cost {
 		p.load(cl.Addr)
 	}
 
-	steps, ann := plan.Split()
 	p.pipe.SetFillMemo(plan.Memo)
-	cost.Pipeline = p.pipe.ExecuteHot(steps, ann, plan.Hot(), mem)
+	cost.Pipeline = p.pipe.Execute(plan.Steps, plan.Ann, plan.Hot, mem)
 	cost.Total = cost.Load + cost.Pipeline
 	p.finish(t, cost)
 	return cost

@@ -14,13 +14,18 @@ var (
 	conB = types.HexToAddress("0x00000000000000000000000000000000000000b2")
 )
 
+// syms interns the steps of every hand-built trace, as a Collector would.
+var syms = arch.NewSymbolTable()
+
 // trace builds a minimal SCT trace: one code load plus a few steps.
 func trace(addr types.Address, codeBytes int, ops ...evm.Opcode) *arch.TxTrace {
-	t := &arch.TxTrace{Contract: addr, HasSelector: true, Selector: [4]byte{1}}
+	t := &arch.TxTrace{Contract: addr, HasSelector: true, Selector: [4]byte{1}, Syms: syms}
 	t.CodeLoads = []arch.CodeLoad{{Addr: addr, CodeBytes: codeBytes, Depth: 1}}
 	pc := uint64(0)
 	for _, op := range ops {
-		t.Steps = append(t.Steps, evm.Step{PC: pc, Op: op, Depth: 1, CodeAddr: addr})
+		s := evm.Step{PC: pc, Op: op, Depth: 1, CodeAddr: addr}
+		syms.Intern(&s)
+		t.Steps = append(t.Steps, s)
 		pc += 1 + uint64(op.PushSize())
 	}
 	return t

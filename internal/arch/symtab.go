@@ -22,8 +22,8 @@ import (
 //
 // Ids are block-scoped: steps from different symbol tables must not be
 // replayed through one warm structure (every replay runs a single
-// block, so this cannot happen in the engine paths; structures also
-// keep a slow path for id 0 that never aliases interned ids).
+// block, so this cannot happen in the engine paths). Id 0 is never
+// assigned, and the timing model only replays interned steps.
 type SymbolTable struct {
 	codeIDs   map[types.Address]uint32
 	codeAddrs []types.Address

@@ -36,8 +36,9 @@ type TxTrace struct {
 
 	// Syms is the block-scoped symbol table that assigned the dense
 	// CodeID/TouchID fields of Steps; every trace of one collected block
-	// shares the same table. Nil for hand-built traces (Steps then carry
-	// zero ids and consumers use their slow paths).
+	// shares the same table. The timing model replays interned steps
+	// only, so a trace built outside a Collector interns its steps
+	// through a SymbolTable too.
 	Syms *SymbolTable
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pu"
+	"mtpu/internal/engine"
+	"mtpu/internal/evm"
 )
 
 // TestConcurrentReplayMatchesSerial replays one cached trace set from
@@ -34,12 +37,11 @@ func TestConcurrentReplayMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// Serial reference first, on fresh plans so the memoized splits of
-	// the shared set are exercised by the concurrent pass too.
+	// Serial reference first.
 	want := make([]uint64, len(points))
 	for i, p := range points {
 		res, err := acc.ReplayWith(block, traces, receipts, digest, p.mode,
-			ReplayOpts{NumPUs: p.pus, Plans: pu.PlainPlans(traces)})
+			ReplayOpts{NumPUs: p.pus, Plans: plans})
 		if err != nil {
 			t.Fatalf("serial %v/%d PUs: %v", p.mode, p.pus, err)
 		}
@@ -71,6 +73,60 @@ func TestConcurrentReplayMatchesSerial(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedTraceStepsStayReadOnly guards the aliasing plain plans rely
+// on: a plain plan's Steps is its trace's Steps, and the same slices are
+// read by the Contract-Table learn, the shadow oracle and every
+// concurrent replay. Sixteen replays of one plan set race a learn over
+// the same traces (on its own Accelerator — learning into a table that
+// is being replayed from is excluded by the Accelerator contract); every
+// trace must come out byte-equal to a copy taken beforehand, and -race
+// must see no write.
+func TestSharedTraceStepsStayReadOnly(t *testing.T) {
+	genesis, block := buildBlock(t, 96, 96, 0.4)
+	traces, receipts, digest, err := CollectTraces(genesis, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]evm.Step, len(traces))
+	for i, tr := range traces {
+		before[i] = slices.Clone(tr.Steps)
+	}
+	acc := New(arch.DefaultConfig())
+	acc.LearnHotspots(traces, 8)
+	plans := pu.PlainPlans(traces)
+	for i, p := range plans {
+		if len(traces[i].Steps) > 0 && &p.Steps[0] != &traces[i].Steps[0] {
+			t.Fatalf("plain plan %d copied its trace's steps", i)
+		}
+	}
+
+	var wg sync.WaitGroup
+	modes := engine.Modes() // all eight, Block-STM (which re-runs plans per incarnation) included
+	for r := 0; r < 16; r++ {
+		mode := modes[r%len(modes)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := acc.ReplayWith(block, traces, receipts, digest, mode,
+				ReplayOpts{NumPUs: 4, Plans: plans, Genesis: genesis}); err != nil {
+				t.Errorf("%v: %v", mode, err)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		New(arch.DefaultConfig()).LearnHotspots(traces, 8)
+	}()
+	wg.Wait()
+
+	for i, tr := range traces {
+		if !slices.Equal(tr.Steps, before[i]) {
+			t.Fatalf("trace %d steps changed under concurrent replay and learn", i)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ func New(cfg arch.Config) *Accelerator {
 // genesis, returning per-transaction traces, the receipts and the final
 // state digest every other mode must reproduce.
 func CollectTraces(genesis *state.StateDB, block *types.Block) ([]*arch.TxTrace, []*types.Receipt, types.Hash, error) {
-	return collectOn(genesis.Copy(), block)
+	return CollectTracesOn(genesis.Copy(), block)
 }
 
 // CollectTracesOn is CollectTraces against a caller-owned mutable state:
@@ -112,11 +112,6 @@ func CollectTraces(genesis *state.StateDB, block *types.Block) ([]*arch.TxTrace,
 // chained stream sequentially — the oracle for cross-block state
 // chaining.
 func CollectTracesOn(st *state.StateDB, block *types.Block) ([]*arch.TxTrace, []*types.Receipt, types.Hash, error) {
-	return collectOn(st, block)
-}
-
-// collectOn is CollectTraces against a mutable state (the block commits).
-func collectOn(st *state.StateDB, block *types.Block) ([]*arch.TxTrace, []*types.Receipt, types.Hash, error) {
 	e := evm.New(evm.NewBlockContext(block.Header), st)
 	col := arch.NewCollector()
 	e.Tracer = col
@@ -144,7 +139,7 @@ func (a *Accelerator) ExecuteChain(genesis *state.StateDB, blocks []*types.Block
 	st := genesis.Copy()
 	results := make([]*Result, len(blocks))
 	for i, block := range blocks {
-		traces, receipts, digest, err := collectOn(st, block)
+		traces, receipts, digest, err := CollectTracesOn(st, block)
 		if err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", i, err)
 		}
@@ -238,9 +233,10 @@ type ReplayOpts struct {
 	// sequential+ILP) still run on one PU.
 	NumPUs int
 	// Plans supplies prebuilt plain plans aligned with the traces (e.g.
-	// tracecache.Entry.PlainPlans), so one plan set serves every mode of a
-	// sweep. Ignored by ModeSTHotspot, whose plans depend on the Contract
-	// Table. Shared plans are only read during replay.
+	// tracecache.Entry.PlainPlans), so one plan set — and its shared fill
+	// memo — serves every mode of a sweep. Ignored by ModeSTHotspot, whose
+	// plans depend on the Contract Table. nil has the engine build its
+	// own. Shared plans are only read during replay.
 	Plans []*pu.Plan
 	// Obs enables cycle-level instrumentation: the collector receives
 	// pipeline and scheduler events during the replay and the Result

@@ -40,8 +40,8 @@ type Step struct {
 	// time by the per-block symbol table (arch.SymbolTable): CodeID names
 	// CodeAddr, TouchID names the state-buffer key this step touches (the
 	// storage slot for SLOAD/SSTORE, the account for state queries). Both
-	// are 1-based; 0 means "not interned" and sends consumers down a
-	// compatible slow path, so hand-built steps stay valid.
+	// are 1-based; the interpreter leaves them 0 and the timing model
+	// only replays steps the symbol table has interned.
 	CodeID  uint32
 	TouchID uint32
 }

@@ -213,10 +213,10 @@ func Chunking(env *Env) []ChunkingRow {
 			}
 			plan := table.Plan(sample)
 			slTotal, slPref := 0, 0
-			for _, st := range plan.Steps {
-				if st.Step.Op == evm.SLOAD {
+			for i := range plan.Steps {
+				if plan.Steps[i].Op == evm.SLOAD {
 					slTotal++
-					if st.Annotation.Prefetched {
+					if i < len(plan.Ann) && plan.Ann[i].Prefetched {
 						slPref++
 					}
 				}

@@ -108,16 +108,15 @@ func runPipeline(cfg arch.Config, plans []*pu.Plan, passes int) pipeline.Stats {
 	pipe := getPipeline(cfg)
 	defer pipePool.Put(pipe)
 	// One interface value up front: passing the concrete FlatMem would
-	// re-box (and heap-allocate) it on every ExecuteHot call.
+	// re-box (and heap-allocate) it on every Execute call.
 	var mem pipeline.MemModel = pipeline.FlatMem{Cfg: cfg}
 	for pass := 0; pass < passes; pass++ {
 		if pass == passes-1 {
 			pipe.ResetStats()
 		}
 		for _, p := range plans {
-			steps, ann := p.Split()
 			pipe.SetFillMemo(p.Memo)
-			pipe.ExecuteHot(steps, ann, p.Hot(), mem)
+			pipe.Execute(p.Steps, p.Ann, p.Hot, mem)
 		}
 	}
 	return pipe.Stats()

@@ -99,7 +99,7 @@ func TestPlanNeverSkipsEffectfulInstructions(t *testing.T) {
 			kept := map[int]bool{}
 			j := 0
 			for i := range tr.Steps {
-				if j < len(plan.Steps) && plan.Steps[j].Step == tr.Steps[i] {
+				if j < len(plan.Steps) && plan.Steps[j] == tr.Steps[i] {
 					kept[i] = true
 					j++
 				}
@@ -166,13 +166,13 @@ func TestPrefetchMarksOnlyStateReads(t *testing.T) {
 	}
 	for _, tr := range traces {
 		plan := table.Plan(tr)
-		for _, s := range plan.Steps {
-			if !s.Annotation.Prefetched {
+		for i, a := range plan.Ann {
+			if !a.Prefetched {
 				continue
 			}
-			u := s.Step.Op.Unit()
-			if s.Step.Op != evm.SLOAD && u != evm.FUStateQuery {
-				t.Fatalf("prefetch annotation on %s", s.Step.Op)
+			op := plan.Steps[i].Op
+			if op != evm.SLOAD && op.Unit() != evm.FUStateQuery {
+				t.Fatalf("prefetch annotation on %s", op)
 			}
 		}
 	}

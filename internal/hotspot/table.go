@@ -6,6 +6,7 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
+	"mtpu/internal/evm"
 	"mtpu/internal/types"
 )
 
@@ -171,32 +172,23 @@ func (t *ContractTable) Plan(trace *arch.TxTrace) *pu.Plan {
 		return pu.PlainPlan(trace)
 	}
 	addrs := stepAddrs(trace)
-	steps := make([]pipeline.AnnotatedStep, 0, len(trace.Steps))
-	skipped := 0
+	steps := make([]evm.Step, 0, len(trace.Steps))
+	ann := make([]pipeline.Annotation, 0, len(trace.Steps))
 	for i := range trace.Steps {
-		if i < info.PreExecLen {
-			skipped++
-			continue
-		}
 		k := apc{addrs[i], trace.Steps[i].PC}
-		if info.Skip[k] {
-			skipped++
+		if i < info.PreExecLen || info.Skip[k] {
 			continue
 		}
-		steps = append(steps, pipeline.AnnotatedStep{
-			Step: trace.Steps[i],
-			Annotation: pipeline.Annotation{
-				Prefetched:    info.Prefetch[k],
-				ConstOperands: info.ConstOps[k],
-			},
+		steps = append(steps, trace.Steps[i])
+		ann = append(ann, pipeline.Annotation{
+			Prefetched:    info.Prefetch[k],
+			ConstOperands: info.ConstOps[k],
 		})
 	}
-	return &pu.Plan{
-		Trace:               trace,
-		Steps:               steps,
-		LoadScale:           info.LoadFrac,
-		SkippedInstructions: skipped,
-	}
+	plan := pu.NewPlan(trace, steps, ann)
+	plan.LoadScale = info.LoadFrac
+	plan.SkippedInstructions = len(trace.Steps) - len(steps)
+	return plan
 }
 
 // LoadFractionOf reports the bytecode fraction loaded for the contract

@@ -20,6 +20,16 @@ import (
 // is pointless if a single request can balloon memory instead.
 const maxBlockBytes = 8 << 20
 
+// Ingest connection deadlines: a client that opens a connection and
+// stalls — mid-headers or mid-body — is cut off instead of holding the
+// connection and its goroutine forever. Headers are a few hundred bytes;
+// the whole request gets the time a maxBlockBytes body needs at about
+// 5 Mbit/s.
+const (
+	ingestReadHeaderTimeout = 5 * time.Second
+	ingestReadTimeout       = 15 * time.Second
+)
+
 // Handler returns the service's ingest HTTP handler:
 //
 //	POST /blocks  — submit one block; raw RLP (application/octet-stream)
@@ -136,7 +146,11 @@ func (s *Service) ListenAndServe(addr, unixPath string) (*Ingest, error) {
 	if addr == "" && unixPath == "" {
 		return nil, fmt.Errorf("stream: ingest needs a TCP address or a unix socket path")
 	}
-	in := &Ingest{srv: &http.Server{Handler: s.Handler()}, unixPath: unixPath}
+	in := &Ingest{unixPath: unixPath, srv: &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: ingestReadHeaderTimeout,
+		ReadTimeout:       ingestReadTimeout,
+	}}
 	if addr != "" {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -235,4 +236,83 @@ func TestHTTPQueueFull(t *testing.T) {
 	if _, err := svc.Drain(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+}
+
+// TestIngestCutsOffStalledClients pins the two connection deadlines. A
+// client that stops halfway through its request line is disconnected
+// once ingestReadHeaderTimeout passes; one that sends its headers and
+// then trickles a body short of its Content-Length gets a 4xx (or a
+// closed connection) once ingestReadTimeout passes — neither holds its
+// connection forever. A well-formed POST made while both stall is still
+// accepted.
+func TestIngestCutsOffStalledClients(t *testing.T) {
+	spec := workload.StreamSpec{Blocks: 2, Txs: 4, Seed: 66}
+	svc, in, src := startIngest(t, Config{Mode: engine.ModeScalar}, spec)
+
+	// awaitCutoff reads conn until the server ends it and returns what
+	// arrived; the client-side deadline only bounds a server that hangs.
+	awaitCutoff := func(conn net.Conn, within time.Duration) (string, error) {
+		conn.SetReadDeadline(time.Now().Add(within + 10*time.Second))
+		reply, err := io.ReadAll(conn)
+		return string(reply), err
+	}
+
+	t.Run("half a request line", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", in.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "POST /blo"); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := awaitCutoff(conn, ingestReadHeaderTimeout); err != nil {
+			t.Fatalf("server never closed the stalled connection: %v", err)
+		}
+		if waited := time.Since(start); waited < ingestReadHeaderTimeout/2 {
+			t.Fatalf("connection closed after %v, before the header deadline", waited)
+		}
+	})
+
+	t.Run("slow body", func(t *testing.T) {
+		t.Parallel()
+		conn, err := net.Dial("tcp", in.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		head := "POST /blocks HTTP/1.1\r\nHost: x\r\nContent-Type: application/octet-stream\r\nContent-Length: 4096\r\n\r\nabc"
+		if _, err := io.WriteString(conn, head); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := awaitCutoff(conn, ingestReadTimeout)
+		if err != nil {
+			t.Fatalf("server never ended the slow-body request: %v", err)
+		}
+		if reply != "" && !bytes.HasPrefix([]byte(reply), []byte("HTTP/1.1 4")) {
+			t.Fatalf("slow-body request answered %q, want a 4xx or a closed connection", reply)
+		}
+	})
+
+	t.Run("well-formed post", func(t *testing.T) {
+		t.Parallel()
+		b, _ := src.Next()
+		resp, err := http.Post("http://"+in.Addr+"/blocks", "application/octet-stream", bytes.NewReader(b.EncodeRLP()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("well-formed block: %s, want 202", resp.Status)
+		}
+		rep, err := svc.Drain()
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		if rep.Committed != 1 {
+			t.Fatalf("committed %d, want 1", rep.Committed)
+		}
+	})
 }

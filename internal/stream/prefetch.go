@@ -3,8 +3,6 @@ package stream
 import (
 	"time"
 
-	"mtpu/internal/arch"
-	"mtpu/internal/arch/pu"
 	"mtpu/internal/core"
 	"mtpu/internal/mvstate"
 	"mtpu/internal/types"
@@ -26,8 +24,7 @@ type prefetched struct {
 	// err is the decode failure at the pinned snapshot. It is not final:
 	// the execute stage retries at the true pre-state before counting
 	// the block invalid.
-	err   error
-	plans []*pu.Plan
+	err error
 	// digest is the post-block state digest at the exact chained
 	// pre-state — filled by the execute stage, not here.
 	digest   types.Hash
@@ -39,20 +36,18 @@ type prefetched struct {
 // pinned snapshot of the current head: a single sequential EVM pass
 // over a versioned overlay (no state copy) that records per-transaction
 // access sets, rebuilds the conflict DAG, and collects instruction
-// traces, receipts and the block's net write-set; then prebuilds the
-// plain per-transaction plans with their pipeline fill memos.
+// traces, receipts and the block's net write-set. Execution plans are
+// not built here: what a plan holds depends on the engine (and, for the
+// hotspot engine, on the Contract Table at replay time), so the engine
+// builds them inside the replay.
 //
 // prefetch never rejects a block: validity is a property of the true
 // chained pre-state, which may still be several folds away while this
 // stage runs ahead.
-func prefetch(store *mvstate.Store, block *types.Block, cfg arch.Config) *prefetched {
+func prefetch(store *mvstate.Store, block *types.Block) *prefetched {
 	snap := store.Pin()
 	defer snap.Close()
 	pre := &prefetched{block: block}
 	pre.prep, pre.err = core.PrepareBlock(snap, block)
-	if pre.err == nil {
-		pre.plans = pu.PlainPlans(pre.prep.Traces)
-		pu.AttachFillMemo(cfg, pre.plans)
-	}
 	return pre
 }

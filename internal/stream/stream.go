@@ -3,10 +3,10 @@
 // replay machinery into a daemon the way the paper's accelerator
 // pipelines instructions. While block N executes on the configured
 // engine, the prefetch/decode stage is already building block N+1's
-// DAG, traces, symbol tables and plans, and the commit stage is
-// verifying and publishing block N−1 — the Block-STM / BSE observation
-// that schedule construction for the next block can overlap execution
-// of the current one, made first-class.
+// DAG, traces and symbol tables, and the commit stage is verifying and
+// publishing block N−1 — the Block-STM / BSE observation that schedule
+// construction for the next block can overlap execution of the current
+// one, made first-class.
 //
 // State is chained across blocks through an mvstate.Store: the commit
 // stage folds each block's write-set into the canonical head, so block
@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"mtpu/internal/arch"
-	"mtpu/internal/arch/pu"
 	"mtpu/internal/core"
 	"mtpu/internal/difftest"
 	"mtpu/internal/engine"
@@ -332,16 +331,16 @@ func (s *Service) endWork(stage telemetry.StreamStage, start time.Time) {
 }
 
 // prefetchLoop decodes each accepted block — conflict DAG, golden
-// sequential traces/receipts, symbol tables and plain plans — one block
-// ahead of execution, speculatively against a pinned snapshot of the
-// head. It never rejects: validity is judged by the execute stage
-// against the true chained pre-state.
+// sequential traces/receipts and symbol tables — one block ahead of
+// execution, speculatively against a pinned snapshot of the head. It
+// never rejects: validity is judged by the execute stage against the
+// true chained pre-state.
 func (s *Service) prefetchLoop() {
 	defer close(s.execQ)
 	for item := range s.ingestQ {
 		s.tel.StreamQueueDepth[telemetry.StagePrefetch].Add(-1)
 		start := s.beginWork()
-		pre := prefetch(s.store, item.block, s.acc.Cfg)
+		pre := prefetch(s.store, item.block)
 		s.endWork(telemetry.StagePrefetch, start)
 		pre.accepted = item.at
 		select {
@@ -386,13 +385,11 @@ func (s *Service) executeLoop() {
 				continue
 			}
 			pre.prep = prep
-			pre.plans = pu.PlainPlans(prep.Traces)
-			pu.AttachFillMemo(s.acc.Cfg, pre.plans)
 		}
 		pre.digest = pre.prep.DigestAt(head, pre.block.Header.Coinbase)
 		pre.seq = folds
 		res, err := s.acc.ReplayWith(pre.block, pre.prep.Traces, pre.prep.Receipts, pre.digest, s.cfg.Mode,
-			core.ReplayOpts{Genesis: head.DB(), Head: head, Plans: pre.plans, Tel: s.tel})
+			core.ReplayOpts{Genesis: head.DB(), Head: head, Tel: s.tel})
 		if err == nil && s.cfg.HotspotTopN > 0 {
 			s.acc.LearnHotspots(pre.prep.Traces, s.cfg.HotspotTopN)
 			learned = s.publishLearn(learned)

@@ -7,6 +7,8 @@ import (
 
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
+	"mtpu/internal/evm"
+	"mtpu/internal/state"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
@@ -321,5 +323,61 @@ func TestShadowStride(t *testing.T) {
 		if got := shadowStride(c.sample); got != c.want {
 			t.Errorf("shadowStride(%v) = %d, want %d", c.sample, got, c.want)
 		}
+	}
+}
+
+// TestStreamStepGasAboveUint32: nothing about a block that reaches the
+// service is trusted, and a zero-gas-price transaction can afford a
+// memory expansion whose single-step gas cost does not fit 32 bits — the
+// input that used to drop a trace off the packed replay image and onto a
+// second replay loop. With one loop it must execute, commit and pass the
+// shadow oracle like any other block, on a trace-replaying engine and on
+// the engine that re-executes functionally.
+func TestStreamStepGasAboveUint32(t *testing.T) {
+	contract := types.HexToAddress("0xc0de00000000000000000000000000000000beef")
+	sender := types.HexToAddress("0x5e0d00000000000000000000000000000000beef")
+	// PUSH1 1, PUSH4 48_000_000, MSTORE, STOP: growing memory to 1.5M
+	// words costs 3w + w²/512 ≈ 4.4e9 gas in the MSTORE step alone.
+	code := []byte{byte(evm.PUSH1), 1, byte(evm.PUSH4), 0x02, 0xdc, 0x6c, 0x00, byte(evm.MSTORE), byte(evm.STOP)}
+	genesis := state.New()
+	genesis.SetCode(contract, code)
+	genesis.CreateAccount(sender)
+	genesis.DiscardJournal()
+
+	newBlock := func() *types.Block { // the service owns (and rewrites the DAG of) each block it is given
+		return types.NewBlock(types.BlockHeader{Height: 1, GasLimit: 1 << 40}, []*types.Transaction{
+			{From: sender, To: &contract, GasLimit: 5_000_000_000, Data: []byte{0xaa, 0xbb, 0xcc, 0xdd}},
+		})
+	}
+
+	for _, mode := range []engine.Mode{engine.ModeSTHotspot, engine.ModeBlockSTM} {
+		svc, err := New(Config{Mode: mode, Genesis: genesis, ShadowSample: 1, VerifyChain: true, HotspotTopN: 4})
+		if err != nil {
+			t.Fatalf("%v: starting service: %v", mode, err)
+		}
+		if err := svc.Submit(newBlock()); err != nil {
+			t.Fatalf("%v: submit: %v", mode, err)
+		}
+		rep, err := svc.Drain()
+		if err != nil {
+			t.Fatalf("%v: drain: %v", mode, err)
+		}
+		if rep.Committed != 1 || rep.Invalid != 0 || rep.ShadowChecks != 1 || rep.ShadowFails != 0 {
+			t.Fatalf("%v: committed=%d invalid=%d shadow checks=%d fails=%d, want 1/0/1/0",
+				mode, rep.Committed, rep.Invalid, rep.ShadowChecks, rep.ShadowFails)
+		}
+	}
+
+	// The premise: the block's trace really holds such a step.
+	traces, _, _, err := core.CollectTraces(genesis, newBlock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest uint64
+	for _, s := range traces[0].Steps {
+		largest = max(largest, s.GasCost)
+	}
+	if largest <= 1<<32 {
+		t.Fatalf("largest step gas %d fits 32 bits; the test no longer exercises the case", largest)
 	}
 }

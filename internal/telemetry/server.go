@@ -7,7 +7,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
+
+// readHeaderTimeout cuts off a scraper that opens a connection and never
+// finishes its request headers.
+const readHeaderTimeout = 5 * time.Second
 
 // Serve starts the optional observability HTTP listener on addr
 // (e.g. "127.0.0.1:9090", or ":0" for an ephemeral port) and returns
@@ -48,7 +53,7 @@ func (m *Metrics) Serve(addr string) (boundAddr string, stop func() error, err e
 
 	publishExpvar(m)
 
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -84,5 +85,34 @@ func TestServeRejectsBadAddr(t *testing.T) {
 	m := New()
 	if _, _, err := m.Serve("256.256.256.256:1"); err == nil {
 		t.Fatal("nonsense address accepted")
+	}
+}
+
+// TestServeCutsOffStalledHeaders: a scraper that opens a connection and
+// stops halfway through its request line is disconnected once
+// readHeaderTimeout passes instead of holding the connection forever.
+func TestServeCutsOffStalledHeaders(t *testing.T) {
+	t.Parallel()
+	addr, stop, err := New().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metr"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	// The client-side deadline only bounds a server that hangs.
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server never closed the stalled connection: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header deadline", waited)
 	}
 }
