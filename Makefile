@@ -19,8 +19,9 @@ race:
 
 # Short fuzz pass over the decoder and data-structure targets: the
 # assembler/disassembler round trips, the RLP and consensus-type
-# decoders, the multi-version memory against its sequential oracle, and
-# the indexed conflict-DAG builder against the pairwise one.
+# decoders, the multi-version memory against its sequential oracle, the
+# buffered state view against the journaled StateDB, and the indexed
+# conflict-DAG builder against the pairwise one.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
@@ -28,6 +29,7 @@ fuzz-smoke:
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeTransactionRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeBlockRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzMVMemory -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzViewVsStateDB -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/state -run '^$$' -fuzz FuzzConflictDAG -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/arch -run '^$$' -fuzz FuzzSymbolTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzDiffEngines -fuzztime $(FUZZTIME)

@@ -29,6 +29,7 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
 	"mtpu/internal/metrics"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/obs"
 	"mtpu/internal/profiling"
 	"mtpu/internal/telemetry"
@@ -241,7 +242,7 @@ func realMain() int {
 		// internal-digest engines (optimistic execution) asserted state
 		// identity inside Run, and every runtime-detected conflict must lie
 		// inside the DAG's transitive closure.
-		if err := core.VerifyResult(genesis, block, res); err != nil {
+		if err := core.VerifyResultAt(mvstate.SnapshotOf(genesis), block, res); err != nil {
 			log.Printf("mtpu-run: serializability check failed: %v", err)
 			return 1
 		}

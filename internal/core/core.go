@@ -393,7 +393,7 @@ func (a *Accelerator) ReplayWith(block *types.Block, traces []*arch.TxTrace, rec
 }
 
 // VerifySchedule re-executes the block's transactions in the dispatch
-// order of a schedule against a versioned overlay of genesis (the base
+// order of a schedule against a buffered view of genesis (the base
 // is only read, never copied) and checks the final state digest matches
 // sequential execution — the serializability invariant of §3.2
 // ("scheduling does not violate blockchain consistency"). It does not
@@ -476,7 +476,7 @@ func VerifyScheduleAt(head *mvstate.Snapshot, block *types.Block, res *Result) e
 		}
 	}
 	keys, vals := ov.WriteSet()
-	fee := ov.FeeTotal()
+	fee := ov.FeeDelta()
 	if got := head.DigestWith(mvstate.BuildOverrides(head, keys, vals, block.Header.Coinbase, &fee)); got != res.StateDigest {
 		return fmt.Errorf("core: scheduled state digest %s != sequential %s", got, res.StateDigest)
 	}
@@ -497,17 +497,13 @@ func VerifySTMConflicts(dag *types.DAG, conflicts []stm.Conflict) error {
 	return nil
 }
 
-// VerifyResult applies the serializability check a result's engine
-// declares: DAG-order engines get the full VerifySchedule replay,
-// internal-digest engines get the conflict cross-check. This is the one
-// verification entry point the CLIs and the differential harness share,
-// so every engine is held to its declared bar the same way everywhere.
-func VerifyResult(genesis *state.StateDB, block *types.Block, res *Result) error {
-	return VerifyResultAt(mvstate.SnapshotOf(genesis), block, res)
-}
-
-// VerifyResultAt is VerifyResult against an mvstate snapshot of the
-// pre-block state (see VerifyScheduleAt).
+// VerifyResultAt applies the serializability check a result's engine
+// declares, against an mvstate snapshot of the pre-block state (see
+// VerifyScheduleAt): DAG-order engines get the full VerifySchedule
+// replay, internal-digest engines get the conflict cross-check. This is
+// the one verification entry point the CLIs and the differential harness
+// share, so every engine is held to its declared bar the same way
+// everywhere.
 func VerifyResultAt(head *mvstate.Snapshot, block *types.Block, res *Result) error {
 	eng, err := engine.Get(res.Mode)
 	if err != nil {

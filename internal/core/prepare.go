@@ -13,8 +13,8 @@ import (
 
 // Prepared is the decode product of one block against one pre-state
 // snapshot: everything the replay, verification and commit layers need,
-// produced by a single sequential EVM pass over a versioned overlay (no
-// copy of the pre-state is ever made).
+// produced by a single sequential EVM pass over a buffered view (no copy
+// of the pre-state is ever made).
 type Prepared struct {
 	// Traces and Receipts are the golden sequential results, aligned
 	// with the block's transactions.
@@ -35,7 +35,7 @@ type Prepared struct {
 }
 
 // PrepareBlock decodes block against head: one sequential EVM pass over
-// an mvstate overlay that simultaneously records per-transaction access
+// an mvstate view that simultaneously records per-transaction access
 // sets (for the conflict DAG), collects instruction traces and receipts,
 // and accumulates the block's net write-set. The block's DAG is rebuilt
 // from the observed access sets — callers treat block input as
@@ -44,7 +44,7 @@ type Prepared struct {
 //
 // The coinbase balance is touched by every transaction's gas payment;
 // treating it as a conflict would serialize the whole block, so the
-// overlay carves it out of access sets and write-set alike — matching
+// view carves it out of access sets and write-set alike — matching
 // workload.BuildDAG and the commutative-reward treatment every engine
 // applies.
 func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error) {
@@ -77,13 +77,17 @@ func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error)
 	block.DAG = state.ConflictDAG(reads, writes)
 
 	p := &Prepared{
-		Traces:    traces,
-		Receipts:  receipts,
-		BaseReads: ov.BaseReads(),
-		Fees:      ov.FeeTotal(),
-		Height:    head.Height(),
+		Traces:   traces,
+		Receipts: receipts,
+		Fees:     ov.FeeDelta(),
+		Height:   head.Height(),
 	}
 	p.WriteKeys, p.WriteVals = ov.WriteSet()
+	obs := ov.ReadSet()
+	p.BaseReads = make([]state.AccessKey, len(obs))
+	for i := range obs {
+		p.BaseReads[i] = obs[i].Key
+	}
 	return p, nil
 }
 

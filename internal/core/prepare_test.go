@@ -6,6 +6,9 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/evm"
 	"mtpu/internal/mvstate"
+	"mtpu/internal/state"
+	"mtpu/internal/types"
+	"mtpu/internal/uint256"
 	"mtpu/internal/workload"
 )
 
@@ -88,6 +91,99 @@ func TestDecodedTracesAreInterned(t *testing.T) {
 			if steps == 0 {
 				t.Fatalf("%s %s: no steps; the check proves nothing", name, path)
 			}
+		}
+	}
+}
+
+// emptyCalleeChain is the smallest chain whose gas depends on how the
+// state layer answers "is the callee empty?": x receives a zero-value
+// transfer, then a 15-byte forwarder CALLs x with value 5 — in the next
+// block, or (oneBlock) in the same one. Gas price is 1, so a wrong
+// answer moves balances and the digest, not only a receipt.
+func emptyCalleeChain(oneBlock bool) (*state.StateDB, []*types.Block) {
+	forwarder := types.HexToAddress("0xf0f0000000000000000000000000000000000001")
+	sender := types.HexToAddress("0x5e0d000000000000000000000000000000000002")
+	x := types.HexToAddress("0xeeee000000000000000000000000000000000003")
+	// CALL(gas: GAS, to: calldata[0:32], value: 5, no data).
+	code := []byte{
+		byte(evm.PUSH1), 0, byte(evm.PUSH1), 0, byte(evm.PUSH1), 0, byte(evm.PUSH1), 0,
+		byte(evm.PUSH1), 5, byte(evm.PUSH1), 0, byte(evm.CALLDATALOAD), byte(evm.GAS), byte(evm.CALL),
+	}
+	genesis := state.New()
+	genesis.SetCode(forwarder, code)
+	genesis.SetBalance(forwarder, uint256.NewInt(1000))
+	genesis.SetBalance(sender, uint256.NewInt(1_000_000_000))
+	genesis.DiscardJournal()
+
+	data := make([]byte, 32)
+	copy(data[12:], x[:])
+	txs := []*types.Transaction{
+		{From: sender, To: &x, Nonce: 0, GasLimit: 30_000, GasPrice: 1},
+		{From: sender, To: &forwarder, Nonce: 1, GasLimit: 200_000, GasPrice: 1, Data: data},
+	}
+	if oneBlock {
+		return genesis, []*types.Block{types.NewBlock(types.BlockHeader{Height: 1, GasLimit: 1 << 30}, txs)}
+	}
+	return genesis, []*types.Block{
+		types.NewBlock(types.BlockHeader{Height: 1, GasLimit: 1 << 30}, txs[:1]),
+		types.NewBlock(types.BlockHeader{Height: 2, GasLimit: 1 << 30}, txs[1:]),
+	}
+}
+
+// TestPrepareBlockAtFoldedHeadMatchesSequential: a block decoded at the
+// head its predecessor folded into must get the receipts, and fold to
+// the digest, of one sequential replay over an evolving StateDB — also
+// when what the predecessor did to an account was touch it and leave it
+// empty, which no write-set carries.
+func TestPrepareBlockAtFoldedHeadMatchesSequential(t *testing.T) {
+	genesis, blocks := emptyCalleeChain(false)
+	seq := genesis.Copy()
+	store := mvstate.NewStore(genesis, nil)
+	for i, block := range blocks {
+		want, err := evm.ExecuteBlockSequential(seq, block, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := PrepareBlock(store.Head(), block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range prep.Receipts {
+			if r.Status != want[j].Status || r.GasUsed != want[j].GasUsed {
+				t.Errorf("block %d tx %d decoded to status %d / gas %d, sequential says %d / %d",
+					i, j, r.Status, r.GasUsed, want[j].Status, want[j].GasUsed)
+			}
+		}
+		store.Commit(prep.WriteKeys, prep.WriteVals, block.Header.Coinbase, &prep.Fees)
+		if got, want := store.HeadDigest(), seq.Digest(); got != want {
+			t.Errorf("block %d folded to %s, sequential state is %s", i, got, want)
+		}
+	}
+}
+
+// TestModeBlockSTMEmptyCalleeInOneBlock: the same two transactions in
+// one block. The second's speculative view sits above the first's
+// writes, none of which touches x — it must still price the CALL as the
+// sequential run does.
+func TestModeBlockSTMEmptyCalleeInOneBlock(t *testing.T) {
+	genesis, blocks := emptyCalleeChain(true)
+	block := blocks[0]
+	traces, receipts, digest, err := CollectTraces(genesis, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if receipts[1].Status != types.ReceiptSuccess {
+		t.Fatal("the forwarded CALL failed; the block no longer exercises the case")
+	}
+	res, err := New(arch.DefaultConfig()).ReplayWith(block, traces, receipts, digest, ModeBlockSTM,
+		ReplayOpts{NumPUs: 2, Genesis: genesis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Receipts {
+		if r.Status != receipts[i].Status || r.GasUsed != receipts[i].GasUsed {
+			t.Errorf("tx %d committed with status %d / gas %d, sequential says %d / %d",
+				i, r.Status, r.GasUsed, receipts[i].Status, receipts[i].GasUsed)
 		}
 	}
 }

@@ -6,7 +6,10 @@ import (
 
 	"mtpu/internal/arch"
 	"mtpu/internal/engine"
+	"mtpu/internal/evm"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/sched"
+	"mtpu/internal/state"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
@@ -63,6 +66,58 @@ func TestVerifyScheduleDetectsTampering(t *testing.T) {
 		t.Error("dependency-violating order accepted")
 	} else if !strings.Contains(err.Error(), "tx") {
 		t.Errorf("unhelpful error: %v", err)
+	}
+}
+
+// TestVerifyScheduleAtPinnedSnapshotAfterFold: the stream's commit stage
+// folds block N first and shadow-validates it afterwards, against a
+// snapshot pinned before the fold. The replay's digest must be priced at
+// the pin's height: priced over the folded head, a replay that drops a
+// write the sequential run made would still match, because the head
+// already holds it.
+func TestVerifyScheduleAtPinnedSnapshotAfterFold(t *testing.T) {
+	contract := types.HexToAddress("0xc0de000000000000000000000000000000000001")
+	sender := types.HexToAddress("0x5e0d000000000000000000000000000000000002")
+	// SSTORE(0, 1) only when called with data.
+	genesis := state.New()
+	genesis.SetCode(contract, []byte{
+		byte(evm.CALLDATASIZE), byte(evm.PUSH1), 5, byte(evm.JUMPI), byte(evm.STOP),
+		byte(evm.JUMPDEST), byte(evm.PUSH1), 1, byte(evm.PUSH1), 0, byte(evm.SSTORE),
+	})
+	genesis.DiscardJournal()
+	newBlock := func(data []byte) *types.Block { // gas price 0: the sender's balance does not tell the two apart
+		return types.NewBlock(types.BlockHeader{Height: 1, GasLimit: 1 << 30},
+			[]*types.Transaction{{From: sender, To: &contract, GasLimit: 100_000, Data: data}})
+	}
+	result := func(prep *Prepared, digest types.Hash) *Result {
+		return &Result{Receipts: prep.Receipts, StateDigest: digest,
+			Sched: sched.Result{Dispatches: []sched.Dispatch{{Tx: 0, Start: 0, End: 1}}}}
+	}
+
+	store := mvstate.NewStore(genesis, nil)
+	pin := store.Pin()
+	defer pin.Close()
+	block := newBlock([]byte{1})
+	prep, err := PrepareBlock(pin, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := prep.DigestAt(pin, block.Header.Coinbase)
+	store.Commit(prep.WriteKeys, prep.WriteVals, block.Header.Coinbase, &prep.Fees)
+
+	if err := VerifyScheduleAt(pin, block, result(prep, digest)); err != nil {
+		t.Fatalf("honest replay rejected after the fold: %v", err)
+	}
+	silent := newBlock(nil)
+	dropped, err := PrepareBlock(pin, silent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dropped.WriteKeys) >= len(prep.WriteKeys) {
+		t.Fatal("the data-less call writes as much as the other; the test proves nothing")
+	}
+	if err := VerifyScheduleAt(pin, silent, result(dropped, digest)); err == nil {
+		t.Error("a replay that drops the storage write matched the sequential digest")
 	}
 }
 

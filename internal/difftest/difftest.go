@@ -2,7 +2,7 @@
 // generates workload specs (randomized sweeps plus adversarial corners),
 // runs every registered execution engine on each one, and holds every
 // result to the sequential oracle — digest and receipt identity from
-// core.CollectTraces, schedule validity via core.VerifyResult, and the
+// core.CollectTraces, schedule validity via core.VerifyResultAt, and the
 // counter identities of obs.Report.CheckInvariants. Any divergence is
 // delta-shrunk (drop transactions, lower the PU count, squeeze the
 // window and account pool) to a minimal replayable Spec.
@@ -22,7 +22,6 @@ import (
 	"mtpu/internal/engine"
 	"mtpu/internal/mvstate"
 	"mtpu/internal/obs"
-	"mtpu/internal/state"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
@@ -307,21 +306,15 @@ func (h *Harness) runChained(spec Spec) ([]Failure, error) {
 	return failures, nil
 }
 
-// OracleCheck holds one engine result to the sequential oracle: state
+// OracleCheckAt holds one engine result to the sequential oracle: state
 // digest and per-receipt identity with the golden sequential execution,
 // then the engine's declared serializability verification (DAG-order
-// replay or conflict cross-check) via core.VerifyResult. It is the
+// replay or conflict cross-check) via core.VerifyResultAt. It is the
 // re-execution check the harness applies to every grid/fuzz spec and
-// the one the block-stream service's shadow validator samples.
-func OracleCheck(genesis *state.StateDB, block *types.Block,
-	receipts []*types.Receipt, digest types.Hash, res *core.Result) error {
-	return OracleCheckAt(mvstate.SnapshotOf(genesis), block, receipts, digest, res)
-}
-
-// OracleCheckAt is OracleCheck against an mvstate snapshot of the
-// pre-block state — the chained form: the stream service's shadow
-// validator pins the head a block folded from and validates against
-// that exact pre-state, not genesis.
+// the one the block-stream service's shadow validator samples. head is
+// the pre-block state: a one-shot snapshot of genesis, or — the chained
+// form — the head a block folded from, which the stream service pins
+// and validates against instead of genesis.
 func OracleCheckAt(head *mvstate.Snapshot, block *types.Block,
 	receipts []*types.Receipt, digest types.Hash, res *core.Result) error {
 	if res.StateDigest != digest {

@@ -9,9 +9,6 @@ import (
 // StateDB is the world-state interface the interpreter executes against.
 // *state.StateDB satisfies it.
 type StateDB interface {
-	CreateAccount(types.Address)
-	Exist(types.Address) bool
-
 	GetBalance(types.Address) *uint256.Int
 	AddBalance(types.Address, *uint256.Int)
 	SubBalance(types.Address, *uint256.Int)
@@ -132,9 +129,6 @@ func (e *EVM) Call(caller, addr types.Address, input []byte, gas uint64, value *
 		return nil, gas, ErrInsufficientBalance
 	}
 	snapshot := e.State.Snapshot()
-	if !e.State.Exist(addr) {
-		e.State.CreateAccount(addr)
-	}
 	if !value.IsZero() {
 		e.State.SubBalance(caller, value)
 		e.State.AddBalance(addr, value)
@@ -156,6 +150,14 @@ func (e *EVM) Call(caller, addr types.Address, input []byte, gas uint64, value *
 		}
 	}
 	return ret, f.gas, err
+}
+
+// empty is EIP-161's rule for charging GasNewAccount: the account has no
+// nonce, no balance and no code. The state has no separate notion of
+// existence, so every view of it — journaled, buffered, speculative or
+// pinned at a past height — gives the same answer.
+func (e *EVM) empty(addr types.Address) bool {
+	return e.State.GetNonce(addr) == 0 && e.State.GetBalance(addr).IsZero() && e.State.GetCodeSize(addr) == 0
 }
 
 // StaticCall executes addr with state mutation forbidden.
@@ -268,7 +270,6 @@ func (e *EVM) create(caller types.Address, initCode []byte, gas uint64, value *u
 	e.State.SetNonce(caller, e.State.GetNonce(caller)+1)
 
 	snapshot := e.State.Snapshot()
-	e.State.CreateAccount(addr)
 	e.State.SetNonce(addr, 1)
 	if !value.IsZero() {
 		e.State.SubBalance(caller, value)
@@ -479,7 +480,7 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 			}
 			if !stack.Back(2).IsZero() {
 				gasCost += GasCallValue
-				if op == CALL && !e.State.Exist(types.WordToAddress(stack.Back(1))) {
+				if op == CALL && e.empty(types.WordToAddress(stack.Back(1))) {
 					gasCost += GasNewAccount
 				}
 			}

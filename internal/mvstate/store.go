@@ -12,9 +12,10 @@
 //
 // The layering mirrors PArSEC's split between the execution layer and
 // a versioned key-value backend: engines execute against Reader
-// snapshots (DAG engines through an Overlay, the STM executor through
-// View/MVMemory), and the commit stage folds each block's winning
-// write-set into the head with Commit. Version chains are pruned as
+// snapshots through a View (the decode and verify paths buffer a whole
+// block in one, the STM executor gives each incarnation its own over an
+// MVMemory), and the commit stage folds each block's winning write-set
+// into the head with Commit. Version chains are pruned as
 // pins release, so the steady-state memory cost is the head plus a few
 // entries per recently-written key.
 package mvstate
@@ -29,11 +30,12 @@ import (
 )
 
 // Reader is the read-only state surface engines execute against: both
-// *state.StateDB and *Snapshot satisfy it, so the same View/Overlay
-// code runs in one-shot replays (bare genesis) and in the chained
-// stream service (store snapshots).
+// *state.StateDB and *Snapshot satisfy it, so the same View runs in
+// one-shot replays (bare genesis) and in the chained stream service
+// (store snapshots). It has no notion of account existence: an account
+// is what its nonce, balance, code and slots say, and every snapshot
+// resolves those exactly at its own height.
 type Reader interface {
-	Exist(types.Address) bool
 	GetBalance(types.Address) *uint256.Int
 	GetNonce(types.Address) uint64
 	GetCode(types.Address) []byte
@@ -332,19 +334,28 @@ func (sn *Snapshot) Close() {
 	}
 }
 
-// Digest digests the snapshot's state. Only valid when the snapshot is
-// at the head (always true for bare snapshots).
-func (sn *Snapshot) Digest() types.Hash {
-	if sn.store == nil {
-		return sn.db.Digest()
-	}
-	return sn.store.HeadDigest()
-}
+// Digest digests the snapshot's state at its own height.
+func (sn *Snapshot) Digest() types.Hash { return sn.DigestWith(nil) }
 
 // DigestWith prices a write-set on top of the snapshot without copying
-// it. Only valid at the head (the sequenced execute stage).
+// it. A pinned snapshot prices at its own height, not at the head's: the
+// value it still reads for every key folded since goes beneath o.
 func (sn *Snapshot) DigestWith(o *state.Overrides) types.Hash {
-	return sn.db.DigestWith(o)
+	if sn.store == nil {
+		return sn.db.DigestWith(o)
+	}
+	sn.rlock()
+	defer sn.runlock()
+	st := sn.store
+	pinned := state.NewOverrides()
+	for id, h := range st.lastWrite {
+		if h > sn.height {
+			val, _ := sn.resolve(st.keys[id]) // folded, so it has a chain
+			setOverride(pinned, st.keys[id], val)
+		}
+	}
+	pinned.Merge(o)
+	return sn.db.DigestWith(pinned)
 }
 
 // resolve looks k up in the pinned snapshot's version chains; ok is
@@ -377,17 +388,15 @@ func (sn *Snapshot) runlock() {
 	sn.store.mu.RUnlock()
 }
 
-// Exist implements Reader. Like View, existence is not version-tracked:
-// the head answer stands in (every workload account pre-exists in
-// genesis, and account creation folds scalar keys that pinned reads do
-// resolve exactly).
-func (sn *Snapshot) Exist(addr types.Address) bool {
-	if sn.store == nil {
-		return sn.db.Exist(addr)
-	}
+// value reads k at a pinned snapshot's height: from its version chain,
+// or from the head when no fold ever wrote it.
+func (sn *Snapshot) value(k state.AccessKey) Value {
 	sn.rlock()
 	defer sn.runlock()
-	return sn.db.Exist(addr)
+	if v, ok := sn.resolve(k); ok {
+		return v
+	}
+	return sn.store.baseValue(k)
 }
 
 // GetBalance implements Reader.
@@ -395,12 +404,8 @@ func (sn *Snapshot) GetBalance(addr types.Address) *uint256.Int {
 	if sn.store == nil {
 		return sn.db.GetBalance(addr)
 	}
-	sn.rlock()
-	defer sn.runlock()
-	if v, ok := sn.resolve(balKey(addr)); ok {
-		return v.Word.Clone()
-	}
-	return sn.db.GetBalance(addr)
+	v := sn.value(balKey(addr))
+	return v.Word.Clone()
 }
 
 // GetNonce implements Reader.
@@ -408,12 +413,7 @@ func (sn *Snapshot) GetNonce(addr types.Address) uint64 {
 	if sn.store == nil {
 		return sn.db.GetNonce(addr)
 	}
-	sn.rlock()
-	defer sn.runlock()
-	if v, ok := sn.resolve(nonceKey(addr)); ok {
-		return v.U64
-	}
-	return sn.db.GetNonce(addr)
+	return sn.value(nonceKey(addr)).U64
 }
 
 // GetCode implements Reader.
@@ -421,12 +421,7 @@ func (sn *Snapshot) GetCode(addr types.Address) []byte {
 	if sn.store == nil {
 		return sn.db.GetCode(addr)
 	}
-	sn.rlock()
-	defer sn.runlock()
-	if v, ok := sn.resolve(codeKey(addr)); ok {
-		return v.Code
-	}
-	return sn.db.GetCode(addr)
+	return sn.value(codeKey(addr)).Code
 }
 
 // GetCodeHash implements Reader.
@@ -434,12 +429,7 @@ func (sn *Snapshot) GetCodeHash(addr types.Address) types.Hash {
 	if sn.store == nil {
 		return sn.db.GetCodeHash(addr)
 	}
-	sn.rlock()
-	defer sn.runlock()
-	if v, ok := sn.resolve(codeKey(addr)); ok {
-		return v.Hash
-	}
-	return sn.db.GetCodeHash(addr)
+	return sn.value(codeKey(addr)).Hash
 }
 
 // GetState implements Reader.
@@ -447,12 +437,7 @@ func (sn *Snapshot) GetState(addr types.Address, slot types.Hash) uint256.Int {
 	if sn.store == nil {
 		return sn.db.GetState(addr, slot)
 	}
-	sn.rlock()
-	defer sn.runlock()
-	if v, ok := sn.resolve(storageKey(addr, slot)); ok {
-		return v.Word
-	}
-	return sn.db.GetState(addr, slot)
+	return sn.value(storageKey(addr, slot)).Word
 }
 
 // BuildOverrides converts a block's write-set (plus its aggregate fee)
@@ -463,17 +448,7 @@ func (sn *Snapshot) GetState(addr types.Address, slot types.Hash) uint256.Int {
 func BuildOverrides(head *Snapshot, keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) *state.Overrides {
 	o := state.NewOverrides()
 	for i, k := range keys {
-		val := vals[i]
-		switch k.Kind {
-		case state.AccessBalance:
-			o.SetBalance(k.Addr, &val.Word)
-		case state.AccessNonce:
-			o.SetNonce(k.Addr, val.U64)
-		case state.AccessCode:
-			o.SetCode(k.Addr, val.Code, val.Hash)
-		case state.AccessStorage:
-			o.SetState(k.Addr, k.Slot, val.Word)
-		}
+		setOverride(o, k, vals[i])
 	}
 	if fee != nil && !fee.IsZero() {
 		var bal uint256.Int
@@ -481,4 +456,17 @@ func BuildOverrides(head *Snapshot, keys []state.AccessKey, vals []Value, coinba
 		o.SetBalance(coinbase, &bal)
 	}
 	return o
+}
+
+func setOverride(o *state.Overrides, k state.AccessKey, val Value) {
+	switch k.Kind {
+	case state.AccessBalance:
+		o.SetBalance(k.Addr, &val.Word)
+	case state.AccessNonce:
+		o.SetNonce(k.Addr, val.U64)
+	case state.AccessCode:
+		o.SetCode(k.Addr, val.Code, val.Hash)
+	case state.AccessStorage:
+		o.SetState(k.Addr, k.Slot, val.Word)
+	}
 }

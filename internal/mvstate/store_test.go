@@ -122,6 +122,48 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestPinnedSnapshotDigestsAtItsHeight: a pinned snapshot prices digests
+// at its own height, however far the head has moved — the commit stage
+// shadow-validates block N against a snapshot pinned before N's fold,
+// after the fold. The pre-images of everything folded since go beneath
+// the caller's overrides, not over them.
+func TestPinnedSnapshotDigestsAtItsHeight(t *testing.T) {
+	st := NewStore(storeGenesis(), nil)
+	a, fresh, coinbase := types.Address{19: 2}, types.Address{19: 9}, types.Address{19: 0xfe}
+	slot := types.Hash{31: 3}
+	st.Commit([]state.AccessKey{storageKey(a, slot)}, []Value{word(1)}, coinbase, uint256.NewInt(2))
+
+	pin := st.Pin()
+	defer pin.Close()
+	before := st.HeadDigest()
+
+	keys := []state.AccessKey{storageKey(a, slot), balKey(a), nonceKey(fresh), codeKey(fresh)}
+	vals := []Value{word(0), word(7), {U64: 1}, {Code: []byte{0xfe}}}
+	fee := uint256.NewInt(3)
+	st.Commit(keys, vals, coinbase, fee)
+	st.Commit([]state.AccessKey{balKey(a)}, []Value{word(8)}, coinbase, fee)
+	if st.HeadDigest() == before {
+		t.Fatal("the folds left the head digest unchanged; the test proves nothing")
+	}
+
+	if got := pin.DigestWith(nil); got != before {
+		t.Errorf("pinned DigestWith(nil) = %s after two folds, want the digest at its height %s", got, before)
+	}
+	if got := pin.Digest(); got != before {
+		t.Errorf("pinned Digest = %s after two folds, want the digest at its height %s", got, before)
+	}
+	// The first fold's write-set priced over the pin is the state after
+	// that fold alone: the seed of the second fold's chain entry.
+	want := storeGenesis()
+	want.SetBalance(coinbase, uint256.NewInt(5))
+	want.SetBalance(a, uint256.NewInt(7))
+	want.SetNonce(fresh, 1)
+	want.SetCode(fresh, []byte{0xfe})
+	if got := pin.DigestWith(BuildOverrides(pin, keys, vals, coinbase, fee)); got != want.Digest() {
+		t.Errorf("write-set priced over the pin = %s, want %s", got, want.Digest())
+	}
+}
+
 // TestChainPruningRespectsPins folds the same key repeatedly and
 // checks chains prune to the lowest live pin, not further, and shrink
 // once the pin releases.

@@ -2,6 +2,7 @@ package mvstate
 
 import (
 	"fmt"
+	"slices"
 
 	"mtpu/internal/keccak"
 	"mtpu/internal/state"
@@ -24,18 +25,26 @@ type ReadObs struct {
 	Ver Version
 }
 
-// View is the per-incarnation state a speculative transaction executes
-// against: reads resolve through its own write buffer, then the
-// multi-version memory, then the immutable pre-block state, recording
-// the observed version of every first read; writes are buffered locally
-// and published by the executor only when the incarnation completes.
+// View is the one buffered evm.StateDB over a read-only base: reads
+// resolve through its own write buffer, then the multi-version memory,
+// then the base, recording the observed version of every first read;
+// writes are buffered locally and never reach the base. A speculative
+// transaction gets one view per incarnation, whose writes the executor
+// publishes when the incarnation completes. With a nil multi-version
+// memory there is no speculative writer below the reader, and the view
+// is the sequential one the decode and verify paths run whole blocks
+// through: its write-set is the block's net write-set (the input to
+// Store.Commit and BuildOverrides), its read-set the keys resolved from
+// the base (what a speculative decode revalidates against later folds),
+// and BeginTxRecord/EndTxRecord cut it into per-transaction access sets
+// for DAG construction.
 //
 // The coinbase balance is carved out, mirroring workload.BuildDAG: fee
 // crediting is commutative, so coinbase balance operations go to a local
-// delta (applied at commit) and are excluded from conflict detection.
+// delta (applied at commit) and never enter read-, write- or access sets.
 type View struct {
 	base     Reader
-	mv       *MVMemory
+	mv       *MVMemory // nil: every non-local read resolves from base
 	tx       int
 	coinbase types.Address
 
@@ -45,13 +54,15 @@ type View struct {
 	writes     map[state.AccessKey]Value
 	writeOrder []state.AccessKey
 
-	created map[types.Address]bool
-
 	logs     []*types.Log
 	refund   uint64
 	feeDelta uint256.Int
 
 	journal []vEntry
+
+	recording bool
+	txReads   state.AccessSet
+	txWrites  state.AccessSet
 }
 
 // NewView returns a view for one incarnation of transaction tx.
@@ -63,8 +74,12 @@ func NewView(base Reader, mv *MVMemory, tx int, coinbase types.Address) *View {
 		coinbase: coinbase,
 		readIdx:  make(map[state.AccessKey]int),
 		writes:   make(map[state.AccessKey]Value),
-		created:  make(map[types.Address]bool),
 	}
+}
+
+// NewOverlay returns the sequential view of a whole block over snap.
+func NewOverlay(snap *Snapshot, coinbase types.Address) *View {
+	return NewView(snap, nil, 0, coinbase)
 }
 
 // vEntry is one undo record of the view's local journal (the same
@@ -72,7 +87,6 @@ func NewView(base Reader, mv *MVMemory, tx int, coinbase types.Address) *View {
 type vEntry struct {
 	kind    vKind
 	key     state.AccessKey
-	addr    types.Address
 	prev    Value
 	existed bool
 	prevU64 uint64
@@ -83,32 +97,51 @@ type vKind uint8
 
 const (
 	vWrite vKind = iota
-	vCreate
 	vLog
 	vRefund
 	vFee
 )
 
+// BeginTxRecord starts per-transaction access recording, with exactly
+// state.StateDB.BeginAccessRecord's rules (a getter records a read, a
+// setter a write, Add/SubBalance only the write), so the DAG built from
+// a view's windows is the one a journaled StateDB replay yields.
+func (v *View) BeginTxRecord() {
+	v.recording = true
+	v.txReads = make(state.AccessSet)
+	v.txWrites = make(state.AccessSet)
+}
+
+// EndTxRecord stops recording and returns the transaction's access sets.
+func (v *View) EndTxRecord() (reads, writes state.AccessSet) {
+	v.recording = false
+	reads, writes = v.txReads, v.txWrites
+	v.txReads, v.txWrites = nil, nil
+	return reads, writes
+}
+
+func (v *View) recordRead(key state.AccessKey) {
+	if v.recording {
+		v.txReads[key] = struct{}{}
+	}
+}
+
+func (v *View) recordWrite(key state.AccessKey) {
+	if v.recording {
+		v.txWrites[key] = struct{}{}
+	}
+}
+
 // ReadSet returns the recorded read observations in first-read order.
 func (v *View) ReadSet() []ReadObs { return v.reads }
 
-// WriteSet returns the buffered writes in first-write order (keys revert-
-// deleted by an inner rollback are skipped).
+// WriteSet returns the buffered writes in first-write order.
 func (v *View) WriteSet() ([]state.AccessKey, []Value) {
-	keys := make([]state.AccessKey, 0, len(v.writes))
-	vals := make([]Value, 0, len(v.writes))
-	seen := make(map[state.AccessKey]bool, len(v.writes))
-	for _, k := range v.writeOrder {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if val, ok := v.writes[k]; ok {
-			keys = append(keys, k)
-			vals = append(vals, val)
-		}
+	vals := make([]Value, len(v.writeOrder))
+	for i, k := range v.writeOrder {
+		vals[i] = v.writes[k]
 	}
-	return keys, vals
+	return slices.Clone(v.writeOrder), vals
 }
 
 // FeeDelta returns the coinbase balance credit accumulated by this
@@ -122,7 +155,10 @@ func (v *View) read(key state.AccessKey) (Value, bool) {
 	if val, ok := v.writes[key]; ok {
 		return val, true
 	}
-	res := v.mv.Read(key, v.tx)
+	res := ReadResult{Status: ReadBase, Ver: Version{Tx: BaseVersion}}
+	if v.mv != nil {
+		res = v.mv.Read(key, v.tx)
+	}
 	if res.Status == ReadEstimate {
 		panic(EstimateAbort{Dep: res.Ver.Tx})
 	}
@@ -159,84 +195,52 @@ func storageKey(addr types.Address, slot types.Hash) state.AccessKey {
 	return state.AccessKey{Kind: state.AccessStorage, Addr: addr, Slot: slot}
 }
 
-// CreateAccount implements evm.StateDB. Existence is not conflict-tracked
-// (state.StateDB records no access for it either, so the consensus DAG
-// has the same blind spot; every workload account pre-exists in genesis).
-func (v *View) CreateAccount(addr types.Address) {
-	if v.Exist(addr) {
-		return
-	}
-	v.journal = append(v.journal, vEntry{kind: vCreate, addr: addr})
-	v.created[addr] = true
-}
-
-// Exist implements evm.StateDB: the account exists in the base state, was
-// created locally, or has a speculative write to any of its scalar keys
-// below this transaction (ESTIMATE entries count — the aborted writer
-// touched the account and re-creation is monotonic).
-func (v *View) Exist(addr types.Address) bool {
-	if v.created[addr] || v.base.Exist(addr) {
-		return true
-	}
-	for _, key := range [3]state.AccessKey{balKey(addr), nonceKey(addr), codeKey(addr)} {
-		if _, ok := v.writes[key]; ok {
-			return true
-		}
-		if res := v.mv.Read(key, v.tx); res.Status != ReadBase {
-			return true
-		}
-	}
-	return false
-}
-
 // GetBalance implements evm.StateDB.
 func (v *View) GetBalance(addr types.Address) *uint256.Int {
 	if addr == v.coinbase {
-		bal := v.baseBalance(addr)
+		bal := v.base.GetBalance(addr)
 		bal.Add(bal, &v.feeDelta)
 		return bal
 	}
+	v.recordRead(balKey(addr))
 	return v.loadBalance(addr)
 }
 
-// baseBalance reads the pre-block balance without recording.
-func (v *View) baseBalance(addr types.Address) *uint256.Int {
-	return v.base.GetBalance(addr)
-}
-
-// loadBalance is the recorded read used by both GetBalance and the
+// loadBalance is the versioned read used by both GetBalance and the
 // read-modify-write Add/SubBalance paths.
 func (v *View) loadBalance(addr types.Address) *uint256.Int {
 	if val, ok := v.read(balKey(addr)); ok {
 		return val.Word.Clone()
 	}
-	return v.baseBalance(addr)
+	return v.base.GetBalance(addr)
 }
 
 // SetBalance overwrites the balance of addr (a pure write).
 func (v *View) SetBalance(addr types.Address, x *uint256.Int) {
 	if addr == v.coinbase {
 		var delta uint256.Int
-		delta.Sub(x, v.baseBalance(addr))
+		delta.Sub(x, v.base.GetBalance(addr))
 		v.journal = append(v.journal, vEntry{kind: vFee, prevFee: v.feeDelta})
 		v.feeDelta = delta
 		return
 	}
+	v.recordWrite(balKey(addr))
 	var val Value
 	val.Word.Set(x)
 	v.write(balKey(addr), val)
 }
 
 // AddBalance credits addr: a read-modify-write, so the current balance
-// lands in the read set (unlike state.StateDB, which only records the
-// write — here a stale read must fail validation, while the DAG builder
-// already gets the edge from the write-write overlap).
+// lands in the read set (a stale read must fail validation) while the
+// access window records only the write, like state.StateDB — the DAG
+// builder already gets the edge from the write-write overlap.
 func (v *View) AddBalance(addr types.Address, x *uint256.Int) {
 	if addr == v.coinbase {
 		v.journal = append(v.journal, vEntry{kind: vFee, prevFee: v.feeDelta})
 		v.feeDelta.Add(&v.feeDelta, x)
 		return
 	}
+	v.recordWrite(balKey(addr))
 	cur := v.loadBalance(addr)
 	var val Value
 	val.Word.Add(cur, x)
@@ -250,6 +254,7 @@ func (v *View) SubBalance(addr types.Address, x *uint256.Int) {
 		v.feeDelta.Sub(&v.feeDelta, x)
 		return
 	}
+	v.recordWrite(balKey(addr))
 	cur := v.loadBalance(addr)
 	var val Value
 	val.Word.Sub(cur, x)
@@ -258,6 +263,7 @@ func (v *View) SubBalance(addr types.Address, x *uint256.Int) {
 
 // GetNonce implements evm.StateDB.
 func (v *View) GetNonce(addr types.Address) uint64 {
+	v.recordRead(nonceKey(addr))
 	if val, ok := v.read(nonceKey(addr)); ok {
 		return val.U64
 	}
@@ -266,11 +272,13 @@ func (v *View) GetNonce(addr types.Address) uint64 {
 
 // SetNonce implements evm.StateDB.
 func (v *View) SetNonce(addr types.Address, n uint64) {
+	v.recordWrite(nonceKey(addr))
 	v.write(nonceKey(addr), Value{U64: n})
 }
 
 // GetCode implements evm.StateDB.
 func (v *View) GetCode(addr types.Address) []byte {
+	v.recordRead(codeKey(addr))
 	if val, ok := v.read(codeKey(addr)); ok {
 		return val.Code
 	}
@@ -284,6 +292,7 @@ func (v *View) GetCodeSize(addr types.Address) int {
 
 // GetCodeHash implements evm.StateDB.
 func (v *View) GetCodeHash(addr types.Address) types.Hash {
+	v.recordRead(codeKey(addr))
 	if val, ok := v.read(codeKey(addr)); ok {
 		return val.Hash
 	}
@@ -292,6 +301,7 @@ func (v *View) GetCodeHash(addr types.Address) types.Hash {
 
 // SetCode implements evm.StateDB.
 func (v *View) SetCode(addr types.Address, code []byte) {
+	v.recordWrite(codeKey(addr))
 	val := Value{Code: append([]byte(nil), code...)}
 	if len(code) > 0 {
 		val.Hash = types.Hash(keccak.Sum256(code))
@@ -301,6 +311,7 @@ func (v *View) SetCode(addr types.Address, code []byte) {
 
 // GetState implements evm.StateDB.
 func (v *View) GetState(addr types.Address, slot types.Hash) uint256.Int {
+	v.recordRead(storageKey(addr, slot))
 	if val, ok := v.read(storageKey(addr, slot)); ok {
 		return val.Word
 	}
@@ -309,6 +320,7 @@ func (v *View) GetState(addr types.Address, slot types.Hash) uint256.Int {
 
 // SetState implements evm.StateDB.
 func (v *View) SetState(addr types.Address, slot types.Hash, x uint256.Int) {
+	v.recordWrite(storageKey(addr, slot))
 	v.write(storageKey(addr, slot), Value{Word: x})
 }
 
@@ -356,10 +368,11 @@ func (v *View) RevertToSnapshot(id int) {
 			if e.existed {
 				v.writes[e.key] = e.prev
 			} else {
+				// The key's first write: undone last of all its writes, and
+				// before any older key's, so it is writeOrder's tail.
 				delete(v.writes, e.key)
+				v.writeOrder = v.writeOrder[:len(v.writeOrder)-1]
 			}
-		case vCreate:
-			delete(v.created, e.addr)
 		case vLog:
 			v.logs = v.logs[:len(v.logs)-1]
 		case vRefund:

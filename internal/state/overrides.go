@@ -1,6 +1,8 @@
 package state
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"mtpu/internal/keccak"
@@ -35,9 +37,6 @@ type Overrides struct {
 func NewOverrides() *Overrides {
 	return &Overrides{accounts: make(map[types.Address]*accountOverride)}
 }
-
-// Len returns the number of overridden accounts.
-func (o *Overrides) Len() int { return len(o.accounts) }
 
 func (o *Overrides) acct(addr types.Address) *accountOverride {
 	ov := o.accounts[addr]
@@ -83,130 +82,142 @@ func (o *Overrides) SetState(addr types.Address, slot types.Hash, v uint256.Int)
 	ov.storage[slot] = v
 }
 
+// Merge layers top over o: every field top sets replaces o's. A nil top
+// changes nothing.
+func (o *Overrides) Merge(top *Overrides) {
+	if top == nil {
+		return
+	}
+	for addr, t := range top.accounts {
+		ov := o.acct(addr)
+		if t.nonce != nil {
+			ov.nonce = t.nonce
+		}
+		if t.balance != nil {
+			ov.balance = t.balance
+		}
+		if t.hasCode {
+			ov.code, ov.codeHash, ov.hasCode = t.code, t.codeHash, true
+		}
+		for slot, v := range t.storage {
+			if ov.storage == nil {
+				ov.storage = make(map[types.Hash]uint256.Int, len(t.storage))
+			}
+			ov.storage[slot] = v
+		}
+	}
+}
+
 // DigestWith computes the digest of the state that would result from
-// applying o on top of s, without mutating or copying s. The byte
-// layout, account ordering and the skip-empty rule are identical to
-// Digest, so DigestWith(o) == apply(o).Digest() for every override set.
-// A nil o degenerates to Digest. The receiver is only read.
+// applying o on top of s, without mutating or copying s: a deterministic
+// Keccak-256 over every non-empty account in address order — address,
+// nonce, balance, code hash, then its live slots in slot order — so
+// DigestWith(o) == apply(o).Digest() for every override set. It is the
+// one walk over the state; Digest is the nil-override case. The receiver
+// is only read.
 func (s *StateDB) DigestWith(o *Overrides) types.Hash {
-	if o == nil || len(o.accounts) == 0 {
-		return s.Digest()
+	var over map[types.Address]*accountOverride
+	if o != nil {
+		over = o.accounts
 	}
+	var slots []types.Hash // reused from account to account
 
-	// merged scalar view of one account (storage handled separately).
-	type merged struct {
-		nonce    uint64
-		balance  uint256.Int
-		codeLen  int
-		codeHash types.Hash
-	}
-	resolve := func(addr types.Address) (merged, []types.Hash, func(types.Hash) uint256.Int) {
-		acc := s.accounts[addr]
-		ov := o.accounts[addr]
-		var m merged
-		if acc != nil {
-			m.nonce = acc.Nonce
-			m.balance = acc.Balance
-			m.codeLen = len(acc.Code)
-			m.codeHash = acc.CodeHash
-		}
-		if ov != nil {
-			if ov.nonce != nil {
-				m.nonce = *ov.nonce
-			}
-			if ov.balance != nil {
-				m.balance = *ov.balance
-			}
-			if ov.hasCode {
-				m.codeLen = len(ov.code)
-				m.codeHash = ov.codeHash
+	addrs := make([]types.Address, 0, len(s.accounts)+len(over))
+	consider := func(addr types.Address, acc *Account, ov *accountOverride) {
+		// "Touched but unchanged" accounts must not perturb the digest, so
+		// an account whose merged fields are all empty is skipped.
+		if nonce, balance, codeLen, _ := mergedScalars(acc, ov); nonce == 0 && balance.IsZero() && codeLen == 0 {
+			if slots = liveSlots(slots[:0], acc, ov); len(slots) == 0 {
+				return
 			}
 		}
-		// Merged live slots: base slots not overridden, plus overridden
-		// slots with non-zero values (zero override deletes the slot).
-		var slots []types.Hash
-		if acc != nil {
-			for slot := range acc.Storage {
-				if ov != nil && ov.storage != nil {
-					if _, over := ov.storage[slot]; over {
-						continue
-					}
-				}
-				slots = append(slots, slot)
-			}
-		}
-		if ov != nil {
-			for slot, v := range ov.storage {
-				if !v.IsZero() {
-					slots = append(slots, slot)
-				}
-			}
-		}
-		value := func(slot types.Hash) uint256.Int {
-			if ov != nil && ov.storage != nil {
-				if v, over := ov.storage[slot]; over {
-					return v
-				}
-			}
-			return acc.Storage[slot]
-		}
-		return m, slots, value
-	}
-
-	addrs := make([]types.Address, 0, len(s.accounts)+len(o.accounts))
-	type entry struct {
-		m     merged
-		slots []types.Hash
-		value func(types.Hash) uint256.Int
-	}
-	entries := make(map[types.Address]*entry, len(s.accounts)+len(o.accounts))
-	consider := func(addr types.Address) {
-		if _, seen := entries[addr]; seen {
-			return
-		}
-		m, slots, value := resolve(addr)
-		// Same skip-empty rule as Digest, evaluated on merged values.
-		if m.nonce == 0 && m.balance.IsZero() && m.codeLen == 0 && len(slots) == 0 {
-			return
-		}
-		entries[addr] = &entry{m: m, slots: slots, value: value}
 		addrs = append(addrs, addr)
 	}
-	for addr := range s.accounts {
-		consider(addr)
+	for addr, acc := range s.accounts {
+		consider(addr, acc, over[addr])
 	}
-	for addr := range o.accounts {
-		consider(addr)
+	for addr, ov := range over {
+		if s.accounts[addr] == nil {
+			consider(addr, nil, ov)
+		}
 	}
 	sort.Slice(addrs, func(i, j int) bool {
 		return string(addrs[i][:]) < string(addrs[j][:])
 	})
 
 	var h keccak.Hasher
-	var u64buf [8]byte
-	writeU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64buf[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(u64buf[:])
-	}
 	for _, addr := range addrs {
-		e := entries[addr]
+		acc, ov := s.accounts[addr], over[addr]
+		nonce, balance, _, codeHash := mergedScalars(acc, ov)
 		h.Write(addr[:])
-		writeU64(e.m.nonce)
-		b := e.m.balance.Bytes32()
+		var nb [8]byte
+		binary.BigEndian.PutUint64(nb[:], nonce)
+		h.Write(nb[:])
+		b := balance.Bytes32()
 		h.Write(b[:])
-		h.Write(e.m.codeHash[:])
+		h.Write(codeHash[:])
 
-		sort.Slice(e.slots, func(i, j int) bool {
-			return string(e.slots[i][:]) < string(e.slots[j][:])
+		slots = liveSlots(slots[:0], acc, ov)
+		sort.Slice(slots, func(i, j int) bool {
+			return string(slots[i][:]) < string(slots[j][:])
 		})
-		for _, slot := range e.slots {
-			v := e.value(slot)
+		for _, slot := range slots {
+			v, overridden := uint256.Int{}, false
+			if ov != nil {
+				v, overridden = ov.storage[slot]
+			}
+			if !overridden {
+				v = acc.Storage[slot]
+			}
 			h.Write(slot[:])
 			vb := v.Bytes32()
 			h.Write(vb[:])
 		}
 	}
 	return types.Hash(h.Sum256())
+}
+
+// mergedScalars returns an account's scalar fields with ov's explicit
+// ones on top; either side may be nil.
+func mergedScalars(acc *Account, ov *accountOverride) (nonce uint64, balance uint256.Int, codeLen int, codeHash types.Hash) {
+	if acc != nil {
+		nonce, balance, codeLen, codeHash = acc.Nonce, acc.Balance, len(acc.Code), acc.CodeHash
+	}
+	if ov != nil {
+		if ov.nonce != nil {
+			nonce = *ov.nonce
+		}
+		if ov.balance != nil {
+			balance = *ov.balance
+		}
+		if ov.hasCode {
+			codeLen, codeHash = len(ov.code), ov.codeHash
+		}
+	}
+	return nonce, balance, codeLen, codeHash
+}
+
+// liveSlots appends the account's merged occupied slots to buf: base
+// slots ov does not touch, plus the slots ov sets to a non-zero value (a
+// zero override deletes the slot).
+func liveSlots(buf []types.Hash, acc *Account, ov *accountOverride) []types.Hash {
+	if acc != nil {
+		buf = slices.Grow(buf, len(acc.Storage))
+		for slot := range acc.Storage {
+			if ov != nil {
+				if _, overridden := ov.storage[slot]; overridden {
+					continue
+				}
+			}
+			buf = append(buf, slot)
+		}
+	}
+	if ov != nil {
+		for slot, v := range ov.storage {
+			if !v.IsZero() {
+				buf = append(buf, slot)
+			}
+		}
+	}
+	return buf
 }

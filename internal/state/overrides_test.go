@@ -151,3 +151,52 @@ func TestDigestWithSkipEmptyRule(t *testing.T) {
 		t.Errorf("emptied account still digests: %s != empty-state %s", got, want)
 	}
 }
+
+// TestDigestGoldenLayout pins the digest's byte layout to a literal:
+// accounts in address order, each as address ‖ nonce (8 bytes, big
+// endian) ‖ balance (32) ‖ code hash (32) ‖ its live slots in slot order
+// as slot ‖ value, empty accounts skipped. Every other digest test
+// compares the walk with itself; this one keeps it from drifting while
+// still agreeing with itself. The overrides rebuild the same state from
+// a different base, so both ends of the merge are held to the literal.
+func TestDigestGoldenLayout(t *testing.T) {
+	const golden = "0xc0a14ff21b2d2d2521e54031af6466664fc747353905491742d67b9ae70b1186" // computed at the parent of the merge
+	addr := func(b byte) types.Address { return types.BytesToAddress([]byte{b, 0xee, b}) }
+	big := new(uint256.Int).Lsh(uint256.NewInt(0xabcdef), 200)
+
+	st := New()
+	st.SetBalance(addr(5), uint256.NewInt(1_000_000))
+	st.SetNonce(addr(5), 7)
+	st.SetCode(addr(4), []byte{0x60, 0x2a, 0x60, 0x00, 0x55})
+	st.SetState(addr(4), slot2, *uint256.NewInt(2))
+	st.SetState(addr(4), slot1, *big)
+	st.SetState(addr(4), types.BytesToHash([]byte{0xff, 0x00}), *uint256.NewInt(3))
+	st.SetBalance(addr(3), big)
+	st.SetNonce(addr(2), 1<<40)
+	st.SetState(addr(1), slot1, *uint256.NewInt(9))
+	st.SetBalance(addr(6), new(uint256.Int)) // touched, empty: skipped
+	if got := st.Digest().String(); got != golden {
+		t.Fatalf("digest %s, want %s", got, golden)
+	}
+
+	base := New()
+	base.SetBalance(addr(5), uint256.NewInt(1))
+	base.SetNonce(addr(5), 7)
+	base.SetCode(addr(4), []byte{0xfe})
+	base.SetState(addr(4), slot2, *uint256.NewInt(2))
+	base.SetState(addr(4), types.BytesToHash([]byte{0x77}), *uint256.NewInt(4))
+	base.SetBalance(addr(6), uint256.NewInt(11))
+	base.SetState(addr(1), slot1, *uint256.NewInt(9))
+	o := NewOverrides()
+	o.SetBalance(addr(5), uint256.NewInt(1_000_000))
+	o.SetCode(addr(4), []byte{0x60, 0x2a, 0x60, 0x00, 0x55}, types.Hash{})
+	o.SetState(addr(4), slot1, *big)
+	o.SetState(addr(4), types.BytesToHash([]byte{0xff, 0x00}), *uint256.NewInt(3))
+	o.SetState(addr(4), types.BytesToHash([]byte{0x77}), uint256.Int{})
+	o.SetBalance(addr(3), big)
+	o.SetNonce(addr(2), 1<<40)
+	o.SetBalance(addr(6), new(uint256.Int))
+	if got := base.DigestWith(o).String(); got != golden {
+		t.Fatalf("digest over overrides %s, want %s", got, golden)
+	}
+}

@@ -8,7 +8,6 @@ package state
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"mtpu/internal/keccak"
 	"mtpu/internal/types"
@@ -255,17 +254,6 @@ func (s *StateDB) getOrCreate(addr types.Address) *Account {
 	return acc
 }
 
-// Exist reports whether the account has ever been touched.
-func (s *StateDB) Exist(addr types.Address) bool {
-	_, ok := s.accounts[addr]
-	return ok
-}
-
-// CreateAccount ensures an account exists at addr.
-func (s *StateDB) CreateAccount(addr types.Address) {
-	s.getOrCreate(addr)
-}
-
 // GetBalance returns the balance of addr (zero for missing accounts).
 func (s *StateDB) GetBalance(addr types.Address) *uint256.Int {
 	s.record(&s.reads, AccessKey{Kind: AccessBalance, Addr: addr})
@@ -423,52 +411,7 @@ func (s *StateDB) record(set *AccessSet, key AccessKey) {
 // Digest computes a deterministic Keccak-256 digest over the entire state,
 // used by tests and the core library to assert that every execution mode
 // commits to an identical final state.
-func (s *StateDB) Digest() types.Hash {
-	addrs := make([]types.Address, 0, len(s.accounts))
-	for addr, acc := range s.accounts {
-		// Skip completely empty accounts so that "touched but unchanged"
-		// accounts do not perturb the digest.
-		if acc.Nonce == 0 && acc.Balance.IsZero() && len(acc.Code) == 0 && len(acc.Storage) == 0 {
-			continue
-		}
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return string(addrs[i][:]) < string(addrs[j][:])
-	})
-
-	var h keccak.Hasher
-	var u64buf [8]byte
-	writeU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64buf[i] = byte(v >> (56 - 8*i))
-		}
-		h.Write(u64buf[:])
-	}
-	for _, addr := range addrs {
-		acc := s.accounts[addr]
-		h.Write(addr[:])
-		writeU64(acc.Nonce)
-		b := acc.Balance.Bytes32()
-		h.Write(b[:])
-		h.Write(acc.CodeHash[:])
-
-		slots := make([]types.Hash, 0, len(acc.Storage))
-		for slot := range acc.Storage {
-			slots = append(slots, slot)
-		}
-		sort.Slice(slots, func(i, j int) bool {
-			return string(slots[i][:]) < string(slots[j][:])
-		})
-		for _, slot := range slots {
-			v := acc.Storage[slot]
-			h.Write(slot[:])
-			vb := v.Bytes32()
-			h.Write(vb[:])
-		}
-	}
-	return types.Hash(h.Sum256())
-}
+func (s *StateDB) Digest() types.Hash { return s.DigestWith(nil) }
 
 // AccountCount returns the number of non-empty accounts (for tests/stats).
 func (s *StateDB) AccountCount() int {

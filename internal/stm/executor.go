@@ -570,39 +570,23 @@ func (ex *executor) addConflict(from, to int) {
 	ex.conflicts = append(ex.conflicts, c)
 }
 
-// commit folds every transaction's committed write set, in transaction
-// order, into a sparse override set over the base (later writers
-// overwrite earlier ones, exactly as the multi-version memory resolves
-// reads), credits the accumulated fees to the coinbase, and digests the
-// merged view — no copy of the base state is ever made.
+// commit concatenates every transaction's committed write set in
+// transaction order — later writers overwrite earlier ones, exactly as
+// the multi-version memory resolves reads — and prices it, with the
+// accumulated fees credited to the coinbase, as a sparse override set
+// over the base: no copy of the base state is ever made.
 func (ex *executor) commit() {
-	o := state.NewOverrides()
+	var keys []state.AccessKey
+	var vals []mvstate.Value
 	var fees uint256.Int
 	receipts := make([]*types.Receipt, len(ex.txs))
 	for i := range ex.txs {
 		st := &ex.txs[i]
 		receipts[i] = st.receipt
-		for j, k := range st.writeKeys {
-			val := st.writeVals[j]
-			switch k.Kind {
-			case state.AccessBalance:
-				o.SetBalance(k.Addr, &val.Word)
-			case state.AccessNonce:
-				o.SetNonce(k.Addr, val.U64)
-			case state.AccessCode:
-				o.SetCode(k.Addr, val.Code, val.Hash)
-			case state.AccessStorage:
-				o.SetState(k.Addr, k.Slot, val.Word)
-			}
-		}
+		keys = append(keys, st.writeKeys...)
+		vals = append(vals, st.writeVals...)
 		fees.Add(&fees, &st.feeDelta)
 	}
-	if !fees.IsZero() {
-		coinbase := ex.block.Header.Coinbase
-		var bal uint256.Int
-		bal.Add(ex.base.GetBalance(coinbase), &fees)
-		o.SetBalance(coinbase, &bal)
-	}
 	ex.res.Receipts = receipts
-	ex.res.Digest = ex.base.DigestWith(o)
+	ex.res.Digest = ex.base.DigestWith(mvstate.BuildOverrides(ex.base, keys, vals, ex.block.Header.Coinbase, &fees))
 }

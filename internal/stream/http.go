@@ -24,8 +24,9 @@ const maxBlockBytes = 8 << 20
 // stalls — mid-headers or mid-body — is cut off instead of holding the
 // connection and its goroutine forever. Headers are a few hundred bytes;
 // the whole request gets the time a maxBlockBytes body needs at about
-// 5 Mbit/s.
-const (
+// 5 Mbit/s. Variables only so the stalled-client test need not wait the
+// shipped values out; nothing else writes them.
+var (
 	ingestReadHeaderTimeout = 5 * time.Second
 	ingestReadTimeout       = 15 * time.Second
 )

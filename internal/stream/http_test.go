@@ -246,6 +246,12 @@ func TestHTTPQueueFull(t *testing.T) {
 // connection forever. A well-formed POST made while both stall is still
 // accepted.
 func TestIngestCutsOffStalledClients(t *testing.T) {
+	// The server under test gets the shipped deadlines' shape at a twentieth
+	// of their length; restored once the parallel subtests are done.
+	header, whole := ingestReadHeaderTimeout, ingestReadTimeout
+	ingestReadHeaderTimeout, ingestReadTimeout = header/20, whole/20
+	t.Cleanup(func() { ingestReadHeaderTimeout, ingestReadTimeout = header, whole })
+
 	spec := workload.StreamSpec{Blocks: 2, Txs: 4, Seed: 66}
 	svc, in, src := startIngest(t, Config{Mode: engine.ModeScalar}, spec)
 

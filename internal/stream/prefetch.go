@@ -34,7 +34,7 @@ type prefetched struct {
 
 // prefetch decodes one block a stage ahead of execution against a
 // pinned snapshot of the current head: a single sequential EVM pass
-// over a versioned overlay (no state copy) that records per-transaction
+// over a buffered view (no state copy) that records per-transaction
 // access sets, rebuilds the conflict DAG, and collects instruction
 // traces, receipts and the block's net write-set. Execution plans are
 // not built here: what a plan holds depends on the engine (and, for the

@@ -21,7 +21,7 @@
 // unbounded memory. Close drains gracefully: every accepted block is
 // committed before Wait returns. An optional shadow validator
 // re-executes a sampled fraction of committed blocks through the
-// sequential oracle (difftest.OracleCheck) and either halts the
+// sequential oracle (difftest.OracleCheckAt) and either halts the
 // pipeline or logs, per configuration. All signals — admission
 // counters, per-stage queue depths and busy time, per-block end-to-end
 // latency histograms — flow through internal/telemetry.
@@ -82,7 +82,7 @@ type Config struct {
 	// replay (0 disables learning).
 	HotspotTopN int
 	// ShadowSample is the fraction of committed blocks re-executed
-	// through the sequential oracle (difftest.OracleCheck): 0 disables
+	// through the sequential oracle (difftest.OracleCheckAt): 0 disables
 	// shadow validation, 1 checks every block, intermediate values
 	// check every round(1/ShadowSample)-th block deterministically.
 	ShadowSample float64

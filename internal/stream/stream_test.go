@@ -11,6 +11,7 @@ import (
 	"mtpu/internal/state"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
+	"mtpu/internal/uint256"
 	"mtpu/internal/workload"
 )
 
@@ -341,7 +342,6 @@ func TestStreamStepGasAboveUint32(t *testing.T) {
 	code := []byte{byte(evm.PUSH1), 1, byte(evm.PUSH4), 0x02, 0xdc, 0x6c, 0x00, byte(evm.MSTORE), byte(evm.STOP)}
 	genesis := state.New()
 	genesis.SetCode(contract, code)
-	genesis.CreateAccount(sender)
 	genesis.DiscardJournal()
 
 	newBlock := func() *types.Block { // the service owns (and rewrites the DAG of) each block it is given
@@ -379,5 +379,119 @@ func TestStreamStepGasAboveUint32(t *testing.T) {
 	}
 	if largest <= 1<<32 {
 		t.Fatalf("largest step gas %d fits 32 bits; the test no longer exercises the case", largest)
+	}
+}
+
+// TestStreamEmptyCalleeGas: what a value-bearing CALL costs depends on
+// whether the callee is empty, and every layer a block passes through —
+// decode at the folded head, Block-STM's speculative views, the shadow
+// oracle's replay at a pinned pre-fold snapshot — must agree with the
+// sequential reference on the answer. X receives a zero-value transfer
+// and then a forwarder contract CALLs it with value, across a fold and
+// inside one block; the last chain CALLs an empty (touched earlier), two
+// never-seen and a funded address with and without value. Every engine
+// must commit every block, pass every shadow check and end at the digest
+// of one sequential replay over an evolving state.
+func TestStreamEmptyCalleeGas(t *testing.T) {
+	var (
+		forwarder = types.HexToAddress("0xf0f0000000000000000000000000000000000001")
+		sender    = types.HexToAddress("0x5e0d000000000000000000000000000000000002")
+		funded    = types.HexToAddress("0xfade000000000000000000000000000000000003")
+		x         = types.HexToAddress("0xeeee000000000000000000000000000000000004")
+		y         = types.HexToAddress("0xeeee000000000000000000000000000000000005")
+		z         = types.HexToAddress("0xeeee000000000000000000000000000000000006")
+	)
+	// CALL(gas: GAS, to: calldata[0:32], value: calldata[32:64], no data).
+	code := []byte{
+		byte(evm.PUSH1), 0, byte(evm.PUSH1), 0, byte(evm.PUSH1), 0, byte(evm.PUSH1), 0,
+		byte(evm.PUSH1), 32, byte(evm.CALLDATALOAD), byte(evm.PUSH1), 0, byte(evm.CALLDATALOAD),
+		byte(evm.GAS), byte(evm.CALL),
+	}
+	genesis := state.New()
+	genesis.SetCode(forwarder, code)
+	genesis.SetBalance(forwarder, uint256.NewInt(1000))
+	genesis.SetBalance(sender, uint256.NewInt(1_000_000_000))
+	genesis.SetBalance(funded, uint256.NewInt(1))
+	genesis.DiscardJournal()
+
+	touch := func(to types.Address) *types.Transaction {
+		return &types.Transaction{From: sender, To: &to, GasLimit: 30_000, GasPrice: 1}
+	}
+	forward := func(to types.Address, value uint64) *types.Transaction {
+		data := make([]byte, 64)
+		copy(data[12:32], to[:])
+		data[63] = byte(value)
+		return &types.Transaction{From: sender, To: &forwarder, GasLimit: 200_000, GasPrice: 1, Data: data}
+	}
+	for name, chain := range map[string][][]*types.Transaction{
+		"across a fold": {{touch(x)}, {forward(x, 5)}},
+		"in one block":  {{touch(x), forward(x, 5)}},
+		"callee table": {{touch(x)}, {
+			forward(x, 0), forward(y, 0), forward(funded, 0),
+			forward(x, 5), forward(z, 5), forward(funded, 5),
+		}},
+	} {
+		// The service owns (and rewrites the DAG of) each block it is
+		// given, so every run builds its own.
+		build := func() []*types.Block {
+			var blocks []*types.Block
+			var nonce uint64
+			for i, txs := range chain {
+				var own []*types.Transaction
+				for _, tx := range txs {
+					cp := *tx
+					cp.Nonce = nonce
+					nonce++
+					own = append(own, &cp)
+				}
+				blocks = append(blocks, types.NewBlock(types.BlockHeader{Height: uint64(i + 1), GasLimit: 1 << 30}, own))
+			}
+			return blocks
+		}
+		seq := genesis.Copy()
+		var gas []uint64
+		for i, b := range build() {
+			receipts, err := evm.ExecuteBlockSequential(seq, b, nil)
+			if err != nil {
+				t.Fatalf("%s: sequential block %d: %v", name, i, err)
+			}
+			for _, r := range receipts {
+				if r.Status != types.ReceiptSuccess {
+					t.Fatalf("%s: sequential block %d tx %d failed; the chain no longer exercises the case", name, i, r.TxIndex)
+				}
+				gas = append(gas, r.GasUsed)
+			}
+		}
+		// The premise: the CALL to the empty x pays for a new account, the
+		// same CALL to a funded address does not.
+		if name == "callee table" {
+			if newAccount := gas[4] - gas[6]; newAccount != evm.GasNewAccount {
+				t.Fatalf("value CALL to an empty callee costs %d more than to a funded one, want %d", newAccount, evm.GasNewAccount)
+			}
+		}
+		for _, mode := range engine.Modes() {
+			svc, err := New(Config{Mode: mode, Genesis: genesis, ShadowSample: 1, VerifyChain: true, HotspotTopN: 4})
+			if err != nil {
+				t.Fatalf("%s/%v: starting service: %v", name, mode, err)
+			}
+			blocks := build()
+			for _, b := range blocks {
+				if err := svc.Submit(b); err != nil {
+					t.Fatalf("%s/%v: submit: %v", name, mode, err)
+				}
+			}
+			rep, err := svc.Drain()
+			if err != nil {
+				t.Errorf("%s/%v: %v", name, mode, err)
+				continue
+			}
+			if n := uint64(len(blocks)); rep.Committed != n || rep.ShadowChecks != n || rep.ShadowFails != 0 {
+				t.Errorf("%s/%v: committed=%d shadow checks=%d fails=%d of %d blocks",
+					name, mode, rep.Committed, rep.ShadowChecks, rep.ShadowFails, n)
+			}
+			if got, want := svc.HeadDigest(), seq.Digest(); got != want {
+				t.Errorf("%s/%v: head digest %s != sequential reference %s", name, mode, got, want)
+			}
+		}
 	}
 }

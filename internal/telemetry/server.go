@@ -11,8 +11,9 @@ import (
 )
 
 // readHeaderTimeout cuts off a scraper that opens a connection and never
-// finishes its request headers.
-const readHeaderTimeout = 5 * time.Second
+// finishes its request headers. A variable only so the stalled-scraper
+// test need not wait the shipped value out; nothing else writes it.
+var readHeaderTimeout = 5 * time.Second
 
 // Serve starts the optional observability HTTP listener on addr
 // (e.g. "127.0.0.1:9090", or ":0" for an ephemeral port) and returns
