@@ -20,7 +20,8 @@ race:
 # Short fuzz pass over the decoder and data-structure targets: the
 # assembler/disassembler round trips, the RLP and consensus-type
 # decoders, the multi-version memory against its sequential oracle, the
-# buffered state view against the journaled StateDB, and the indexed
+# buffered state view against the journaled StateDB, the incremental
+# state digest against the from-scratch sum, and the indexed
 # conflict-DAG builder against the pairwise one.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
@@ -30,6 +31,7 @@ fuzz-smoke:
 	$(GO) test ./internal/types -run '^$$' -fuzz FuzzDecodeBlockRLP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzMVMemory -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzViewVsStateDB -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzDigestIncremental -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/state -run '^$$' -fuzz FuzzConflictDAG -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/arch -run '^$$' -fuzz FuzzSymbolTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzDiffEngines -fuzztime $(FUZZTIME)
@@ -96,9 +98,9 @@ report-smoke:
 # ledger, and exits non-zero on any shadow divergence or telemetry
 # invariant violation (blocks lost/duplicated, queues not drained).
 # The second pass is the chained digest-continuity gate: a shorter
-# stream under the race detector with -verify-chain, which recomputes
-# the head-state digest after every fold and halts on any mismatch
-# between the priced pre-fold digest and the folded head.
+# stream under the race detector with -verify-chain, which sums the
+# head-state digest from scratch after every fold and halts unless it
+# equals both the store's accumulator and the priced pre-fold digest.
 serve-smoke:
 	rm -f bench_serve.jsonl
 	$(GO) run ./cmd/mtpu-serve -source blocks=500,txs=32,dep=0.3,seed=1 \

@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -422,4 +423,73 @@ func BenchmarkPrepareBlock192(b *testing.B) {
 		edges += len(deps)
 	}
 	b.ReportMetric(float64(edges)/float64(len(blocks[0].Transactions)), "dag_edges/tx")
+}
+
+// digestPools are the account pools of the state-size sweep: token-dep30's
+// (210 accounts with the contracts), large-state's and ten times that.
+var digestPools = []int{200, 4096, 40960}
+
+// digestWriteSet is one 64-key write-set, the same at every state size:
+// the first 64 keys a 32-transaction token block over the smallest pool
+// writes (its accounts are in every larger pool), with the block's fees.
+func digestWriteSet(b *testing.B) *core.Prepared {
+	b.Helper()
+	gen := workload.NewGenerator(1, digestPools[0])
+	genesis := gen.Genesis()
+	prep, err := core.PrepareBlock(mvstate.SnapshotOf(genesis), gen.TokenBlock(32, 0.3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(prep.WriteKeys) < 64 {
+		b.Fatalf("token block writes %d keys, want at least 64", len(prep.WriteKeys))
+	}
+	prep.WriteKeys, prep.WriteVals = prep.WriteKeys[:64], prep.WriteVals[:64]
+	return prep
+}
+
+// digestSweep runs fn once per state size on a store over that size's
+// genesis, naming each run by its account count.
+func digestSweep(b *testing.B, fn func(b *testing.B, store *mvstate.Store, prep *core.Prepared)) {
+	prep := digestWriteSet(b)
+	for _, pool := range digestPools {
+		genesis := workload.NewGenerator(1, pool).Genesis()
+		store := mvstate.NewStore(genesis, nil)
+		b.Run(fmt.Sprintf("accounts=%d", genesis.AccountCount()), func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b, store, prep)
+		})
+	}
+}
+
+// BenchmarkDigestAt prices the same write-set over heads of 210, 4 111
+// and 40 971 accounts: the per-block digest cost of the execute stage.
+func BenchmarkDigestAt(b *testing.B) {
+	digestSweep(b, func(b *testing.B, store *mvstate.Store, prep *core.Prepared) {
+		head := store.Head()
+		for i := 0; i < b.N; i++ {
+			_ = prep.DigestAt(head, workload.Coinbase)
+		}
+	})
+}
+
+// BenchmarkStoreCommit folds the same write-set into heads of the three
+// sizes: the commit stage's per-block fold.
+func BenchmarkStoreCommit(b *testing.B) {
+	digestSweep(b, func(b *testing.B, store *mvstate.Store, prep *core.Prepared) {
+		for i := 0; i < b.N; i++ {
+			store.Commit(prep.WriteKeys, prep.WriteVals, workload.Coinbase, &prep.Fees)
+		}
+	})
+}
+
+// BenchmarkDigestFromScratch digests a 4 111-account state from scratch:
+// what NewStore pays once per store, and what -verify-chain pays per
+// block.
+func BenchmarkDigestFromScratch(b *testing.B) {
+	genesis := workload.NewGenerator(1, 4096).Genesis()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = genesis.Digest()
+	}
 }

@@ -477,7 +477,7 @@ func VerifyScheduleAt(head *mvstate.Snapshot, block *types.Block, res *Result) e
 	}
 	keys, vals := ov.WriteSet()
 	fee := ov.FeeDelta()
-	if got := head.DigestWith(mvstate.BuildOverrides(head, keys, vals, block.Header.Coinbase, &fee)); got != res.StateDigest {
+	if got := head.DigestAfter(keys, vals, block.Header.Coinbase, &fee); got != res.StateDigest {
 		return fmt.Errorf("core: scheduled state digest %s != sequential %s", got, res.StateDigest)
 	}
 	return nil

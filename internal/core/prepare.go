@@ -92,8 +92,9 @@ func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error)
 }
 
 // DigestAt prices the prepared block's write-set on top of head and
-// returns the post-block state digest — byte-identical to committing
-// the block and digesting the result, without mutating head.
+// returns the post-block state digest — equal to committing the block
+// and digesting the result, without mutating head, in O(write-set)
+// (Snapshot.DigestAfter).
 func (p *Prepared) DigestAt(head *mvstate.Snapshot, coinbase types.Address) types.Hash {
-	return head.DigestWith(mvstate.BuildOverrides(head, p.WriteKeys, p.WriteVals, coinbase, &p.Fees))
+	return head.DigestAfter(p.WriteKeys, p.WriteVals, coinbase, &p.Fees)
 }

@@ -23,6 +23,7 @@ package mvstate
 import (
 	"sync"
 
+	"mtpu/internal/keccak"
 	"mtpu/internal/state"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
@@ -69,8 +70,10 @@ type Store struct {
 	mu      sync.RWMutex
 	heightC *sync.Cond // signaled on every Commit and on Interrupt
 
-	base        *state.StateDB // canonical head; mutated only by Commit
-	height      uint64         // number of blocks folded in
+	base *state.StateDB // canonical head; mutated only by Commit
+	// head is the bare snapshot of base at the number of blocks folded
+	// in, carrying its digest accumulator; Commit replaces it.
+	head        *Snapshot
 	interrupted bool
 
 	intern    map[state.AccessKey]KeyID
@@ -85,11 +88,14 @@ type Store struct {
 	maxChain int
 }
 
-// NewStore copies genesis into a private head and returns a store at
-// height 0. tel may be nil.
+// NewStore copies genesis into a private head, sums its digest
+// accumulator once — the one O(state) walk a store makes — and returns a
+// store at height 0. tel may be nil.
 func NewStore(genesis *state.StateDB, tel *telemetry.Metrics) *Store {
+	base := genesis.Copy()
 	s := &Store{
-		base:   genesis.Copy(),
+		base:   base,
+		head:   &Snapshot{db: base, acc: base.Accumulate(), summed: true},
 		intern: make(map[state.AccessKey]KeyID),
 		pins:   make(map[uint64]int),
 		tel:    tel,
@@ -102,7 +108,7 @@ func NewStore(genesis *state.StateDB, tel *telemetry.Metrics) *Store {
 func (s *Store) Height() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.height
+	return s.head.height
 }
 
 // WaitHeight blocks until the head reaches height h (or returns
@@ -112,10 +118,10 @@ func (s *Store) Height() uint64 {
 func (s *Store) WaitHeight(h uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for s.height < h && !s.interrupted {
+	for s.head.height < h && !s.interrupted {
 		s.heightC.Wait()
 	}
-	return s.height >= h
+	return s.head.height >= h
 }
 
 // Interrupt wakes every WaitHeight waiter and makes all future waits
@@ -128,22 +134,20 @@ func (s *Store) Interrupt() {
 	s.heightC.Broadcast()
 }
 
-// HeadDigest digests the canonical head under the read lock.
-func (s *Store) HeadDigest() types.Hash {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.base.Digest()
-}
+// HeadDigest is the canonical head's digest, read from the accumulator
+// Commit maintains: O(1), so a reader polling it never holds a fold up.
+func (s *Store) HeadDigest() types.Hash { return s.Head().Digest() }
 
 // Head returns a bare snapshot of the canonical head: reads go straight
 // to the head StateDB with no locking. It is only safe on the sequenced
 // execute/commit path, where the caller has established (via WaitHeight
 // or channel ordering) that no Commit runs concurrently with its reads.
+// It carries the head's accumulator, so it prices digests in O(write-set).
+// Every caller at one height shares the one snapshot Commit built.
 func (s *Store) Head() *Snapshot {
 	s.mu.RLock()
-	h := s.height
-	s.mu.RUnlock()
-	return &Snapshot{db: s.base, height: h}
+	defer s.mu.RUnlock()
+	return s.head
 }
 
 // HeadDB exposes the head StateDB under the same sequencing contract
@@ -159,8 +163,9 @@ func (s *Store) HeadDB() *state.StateDB { return s.base }
 func (s *Store) Pin() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pins[s.height]++
-	return &Snapshot{store: s, db: s.base, height: s.height, pinned: true}
+	h := s.head
+	s.pins[h.height]++
+	return &Snapshot{store: s, db: s.base, height: h.height, pinned: true, acc: h.acc, summed: true}
 }
 
 func (s *Store) unpin(h uint64) {
@@ -197,14 +202,15 @@ func (s *Store) Invalidated(keys []state.AccessKey, since uint64) bool {
 }
 
 // Commit folds one block's write-set into the head: each key gets a
-// new chain version at the next height and the head StateDB is updated
-// in place. The block's aggregate fee is folded as one more chained
+// new chain version at the next height, the head StateDB is updated in
+// place, and the digest accumulator trades the key's old element for its
+// new one. The block's aggregate fee is folded as one more chained
 // coinbase-balance write (the carve-out keeps it out of write-sets, so
 // it is re-attached here). Chains are pruned against the lowest live
 // pin. Returns the new height.
 func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) uint64 {
 	s.mu.Lock()
-	h := s.height + 1
+	h := s.head.height + 1
 
 	floor := h
 	for ph := range s.pins {
@@ -214,6 +220,7 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	}
 
 	folded, pruned := 0, 0
+	acc := s.head.acc
 	apply := func(k state.AccessKey, val Value) {
 		id, ok := s.intern[k]
 		if !ok {
@@ -223,11 +230,12 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 			s.chains = append(s.chains, nil)
 			s.lastWrite = append(s.lastWrite, 0)
 		}
+		old := valueOf(s.base, k)
 		ch := s.chains[id]
 		if len(ch) == 0 {
 			// Seed the chain with the pre-image so snapshots pinned below
 			// h keep reading the pre-fold value after the head mutates.
-			ch = append(ch, centry{height: 0, val: s.baseValue(k)})
+			ch = append(ch, centry{height: 0, val: old})
 			s.entries++
 		}
 		ch = append(ch, centry{height: h, val: val})
@@ -246,6 +254,8 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 			s.maxChain = len(ch)
 		}
 
+		acc.Sub(k, old.word(k.Kind))
+		acc.Add(k, val.word(k.Kind))
 		switch k.Kind {
 		case state.AccessBalance:
 			s.base.SetBalance(k.Addr, &val.Word)
@@ -269,7 +279,7 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	// The head's setters journal; the fold is final, so drop the undo log
 	// instead of letting it grow with every block.
 	s.base.DiscardJournal()
-	s.height = h
+	s.head = &Snapshot{db: s.base, height: h, acc: acc, summed: true}
 
 	if s.tel != nil {
 		s.tel.MVStateCommits.Inc()
@@ -283,33 +293,55 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	return h
 }
 
-// baseValue reads k's current head value (pre-fold) as a Value.
-func (s *Store) baseValue(k state.AccessKey) Value {
+// valueOf reads k's current value in db as a Value.
+func valueOf(db *state.StateDB, k state.AccessKey) Value {
 	var v Value
 	switch k.Kind {
 	case state.AccessBalance:
-		v.Word.Set(s.base.GetBalance(k.Addr))
+		v.Word.Set(db.GetBalance(k.Addr))
 	case state.AccessNonce:
-		v.U64 = s.base.GetNonce(k.Addr)
+		v.U64 = db.GetNonce(k.Addr)
 	case state.AccessCode:
-		v.Code = s.base.GetCode(k.Addr)
-		v.Hash = s.base.GetCodeHash(k.Addr)
+		v.Code = db.GetCode(k.Addr)
+		v.Hash = db.GetCodeHash(k.Addr)
 	case state.AccessStorage:
-		v.Word = s.base.GetState(k.Addr, k.Slot)
+		v.Word = db.GetState(k.Addr, k.Slot)
 	}
 	return v
+}
+
+// word is v's 32-byte digest word as the value of a key of kind k (see
+// state.Accumulator). Code is hashed here when the caller left the hash
+// out, as StateDB.SetCode would.
+func (v *Value) word(k state.AccessKind) [32]byte {
+	switch k {
+	case state.AccessNonce:
+		return state.NonceWord(v.U64)
+	case state.AccessCode:
+		if len(v.Code) == 0 {
+			return [32]byte{}
+		}
+		if v.Hash == (types.Hash{}) {
+			return keccak.Sum256(v.Code)
+		}
+		return v.Hash
+	}
+	return v.Word.Bytes32()
 }
 
 // Snapshot is a read-only view of the store at one height. A bare
 // snapshot (SnapshotOf, Store.Head) reads its StateDB directly with no
 // locking; a pinned snapshot (Store.Pin) resolves reads through the
 // version chains under the store's read lock so it stays consistent
-// while later blocks fold in concurrently.
+// while later blocks fold in concurrently. A store's snapshots carry
+// the digest accumulator at their height; SnapshotOf's has none.
 type Snapshot struct {
 	store  *Store // nil for bare snapshots
 	db     *state.StateDB
 	height uint64
 	pinned bool
+	acc    state.Accumulator
+	summed bool // acc is set
 }
 
 // SnapshotOf wraps a plain StateDB as a bare snapshot — the adapter
@@ -334,28 +366,51 @@ func (sn *Snapshot) Close() {
 	}
 }
 
-// Digest digests the snapshot's state at its own height.
-func (sn *Snapshot) Digest() types.Hash { return sn.DigestWith(nil) }
-
-// DigestWith prices a write-set on top of the snapshot without copying
-// it. A pinned snapshot prices at its own height, not at the head's: the
-// value it still reads for every key folded since goes beneath o.
-func (sn *Snapshot) DigestWith(o *state.Overrides) types.Hash {
-	if sn.store == nil {
-		return sn.db.DigestWith(o)
+// Digest is the snapshot's digest at its own height.
+func (sn *Snapshot) Digest() types.Hash {
+	if !sn.summed {
+		return sn.db.Digest()
 	}
-	sn.rlock()
-	defer sn.runlock()
-	st := sn.store
-	pinned := state.NewOverrides()
-	for id, h := range st.lastWrite {
-		if h > sn.height {
-			val, _ := sn.resolve(st.keys[id]) // folded, so it has a chain
-			setOverride(pinned, st.keys[id], val)
+	return sn.acc.Digest()
+}
+
+// DigestAfter prices a write-set on top of the snapshot without applying
+// it: the digest of the state after keys[i] takes vals[i] — a repeated
+// key's last write wins, as in the concatenated per-transaction
+// write-sets Block-STM commits — and the coinbase balance becomes the
+// snapshot's plus fee, replacing any write of it (write-sets carry none:
+// the carve-out). It is the snapshot's accumulator less each written
+// key's old element plus its new one, O(write-set) at any height; a
+// SnapshotOf snapshot has no accumulator and sums its state first.
+func (sn *Snapshot) DigestAfter(keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) types.Hash {
+	acc := sn.acc
+	if !sn.summed {
+		acc = sn.db.Accumulate()
+	}
+	if sn.store != nil {
+		sn.rlock()
+		defer sn.runlock()
+	}
+	move := func(k state.AccessKey, val *Value) {
+		old := sn.at(k)
+		acc.Sub(k, old.word(k.Kind))
+		acc.Add(k, val.word(k.Kind))
+	}
+	seen := make(map[state.AccessKey]struct{}, len(keys)+1)
+	if fee != nil && !fee.IsZero() {
+		k := balKey(coinbase)
+		credited := sn.at(k)
+		credited.Word.Add(&credited.Word, fee)
+		move(k, &credited)
+		seen[k] = struct{}{}
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		if _, later := seen[keys[i]]; !later {
+			seen[keys[i]] = struct{}{}
+			move(keys[i], &vals[i])
 		}
 	}
-	pinned.Merge(o)
-	return sn.db.DigestWith(pinned)
+	return acc.Digest()
 }
 
 // resolve looks k up in the pinned snapshot's version chains; ok is
@@ -388,15 +443,23 @@ func (sn *Snapshot) runlock() {
 	sn.store.mu.RUnlock()
 }
 
-// value reads k at a pinned snapshot's height: from its version chain,
-// or from the head when no fold ever wrote it.
+// value reads k at a pinned snapshot's height under the read lock.
 func (sn *Snapshot) value(k state.AccessKey) Value {
 	sn.rlock()
 	defer sn.runlock()
-	if v, ok := sn.resolve(k); ok {
-		return v
+	return sn.at(k)
+}
+
+// at reads k at the snapshot's height: a pinned snapshot's from its
+// version chain, or from the head when no fold ever wrote it (the caller
+// holds the read lock); a bare snapshot's from its StateDB.
+func (sn *Snapshot) at(k state.AccessKey) Value {
+	if sn.store != nil {
+		if v, ok := sn.resolve(k); ok {
+			return v
+		}
 	}
-	return sn.store.baseValue(k)
+	return valueOf(sn.db, k)
 }
 
 // GetBalance implements Reader.
@@ -438,35 +501,4 @@ func (sn *Snapshot) GetState(addr types.Address, slot types.Hash) uint256.Int {
 		return sn.db.GetState(addr, slot)
 	}
 	return sn.value(storageKey(addr, slot)).Word
-}
-
-// BuildOverrides converts a block's write-set (plus its aggregate fee)
-// into a sparse state.Overrides over head, for digest pricing without
-// copying the head. The coinbase balance is read from head and bumped
-// by fee — write-sets never contain it (the carve-out), so the merge
-// is well-defined.
-func BuildOverrides(head *Snapshot, keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) *state.Overrides {
-	o := state.NewOverrides()
-	for i, k := range keys {
-		setOverride(o, k, vals[i])
-	}
-	if fee != nil && !fee.IsZero() {
-		var bal uint256.Int
-		bal.Add(head.GetBalance(coinbase), fee)
-		o.SetBalance(coinbase, &bal)
-	}
-	return o
-}
-
-func setOverride(o *state.Overrides, k state.AccessKey, val Value) {
-	switch k.Kind {
-	case state.AccessBalance:
-		o.SetBalance(k.Addr, &val.Word)
-	case state.AccessNonce:
-		o.SetNonce(k.Addr, val.U64)
-	case state.AccessCode:
-		o.SetCode(k.Addr, val.Code, val.Hash)
-	case state.AccessStorage:
-		o.SetState(k.Addr, k.Slot, val.Word)
-	}
 }

@@ -39,7 +39,7 @@ func TestStoreCommitFoldsHead(t *testing.T) {
 	// Pricing the write-set over the head must predict the post-fold
 	// digest exactly — this is what the stream's execute stage relies on.
 	head := st.Head()
-	want := head.DigestWith(BuildOverrides(head, keys, vals, coinbase, fee))
+	want := head.DigestAfter(keys, vals, coinbase, fee)
 
 	if h := st.Commit(keys, vals, coinbase, fee); h != 1 {
 		t.Fatalf("first commit returned height %d, want 1", h)
@@ -125,8 +125,8 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 // TestPinnedSnapshotDigestsAtItsHeight: a pinned snapshot prices digests
 // at its own height, however far the head has moved — the commit stage
 // shadow-validates block N against a snapshot pinned before N's fold,
-// after the fold. The pre-images of everything folded since go beneath
-// the caller's overrides, not over them.
+// after the fold. It carries the accumulator of its height, and the old
+// value DigestAfter takes out for each key is the one it still reads.
 func TestPinnedSnapshotDigestsAtItsHeight(t *testing.T) {
 	st := NewStore(storeGenesis(), nil)
 	a, fresh, coinbase := types.Address{19: 2}, types.Address{19: 9}, types.Address{19: 0xfe}
@@ -146,8 +146,8 @@ func TestPinnedSnapshotDigestsAtItsHeight(t *testing.T) {
 		t.Fatal("the folds left the head digest unchanged; the test proves nothing")
 	}
 
-	if got := pin.DigestWith(nil); got != before {
-		t.Errorf("pinned DigestWith(nil) = %s after two folds, want the digest at its height %s", got, before)
+	if got := pin.DigestAfter(nil, nil, coinbase, nil); got != before {
+		t.Errorf("pinned DigestAfter of nothing = %s after two folds, want the digest at its height %s", got, before)
 	}
 	if got := pin.Digest(); got != before {
 		t.Errorf("pinned Digest = %s after two folds, want the digest at its height %s", got, before)
@@ -159,7 +159,7 @@ func TestPinnedSnapshotDigestsAtItsHeight(t *testing.T) {
 	want.SetBalance(a, uint256.NewInt(7))
 	want.SetNonce(fresh, 1)
 	want.SetCode(fresh, []byte{0xfe})
-	if got := pin.DigestWith(BuildOverrides(pin, keys, vals, coinbase, fee)); got != want.Digest() {
+	if got := pin.DigestAfter(keys, vals, coinbase, fee); got != want.Digest() {
 		t.Errorf("write-set priced over the pin = %s, want %s", got, want.Digest())
 	}
 }
@@ -356,9 +356,10 @@ func TestConcurrentPinnedReadsDuringCommits(t *testing.T) {
 	wg.Wait()
 }
 
-// TestHotPathsAllocateNothing pins the revalidation predicate and bare
-// head reads as allocation-free: both run once per block in the stream
-// pipeline's execute stage.
+// TestHotPathsAllocateNothing pins the revalidation predicate, bare
+// head reads and the head digest as allocation-free: the first two run
+// once per block in the stream pipeline's execute stage, the digest on
+// every /healthz poll and report, under the lock a fold waits for.
 func TestHotPathsAllocateNothing(t *testing.T) {
 	st := NewStore(storeGenesis(), nil)
 	a := types.Address{19: 1}
@@ -381,5 +382,12 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 		_ = head.GetState(a, slot)
 	}); allocs != 0 {
 		t.Errorf("bare snapshot reads allocate %.1f times per call, want 0", allocs)
+	}
+
+	if allocs := testing.AllocsPerRun(200, func() {
+		_ = st.HeadDigest()
+		_ = st.Head().Digest()
+	}); allocs != 0 {
+		t.Errorf("head digest allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -34,7 +34,7 @@ type ReadObs struct {
 // memory there is no speculative writer below the reader, and the view
 // is the sequential one the decode and verify paths run whole blocks
 // through: its write-set is the block's net write-set (the input to
-// Store.Commit and BuildOverrides), its read-set the keys resolved from
+// Store.Commit and Snapshot.DigestAfter), its read-set the keys resolved from
 // the base (what a speculative decode revalidates against later folds),
 // and BeginTxRecord/EndTxRecord cut it into per-transaction access sets
 // for DAG construction.

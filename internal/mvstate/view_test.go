@@ -162,7 +162,7 @@ func viewVsStateDB(t *testing.T, data []byte) {
 	}
 	fee := view.FeeDelta()
 	store := NewStore(genesis, nil)
-	priced := store.Head().DigestWith(BuildOverrides(store.Head(), keys, vals, coinbase, &fee))
+	priced := store.Head().DigestAfter(keys, vals, coinbase, &fee)
 	store.Commit(keys, vals, coinbase, &fee)
 	if want := db.Digest(); store.HeadDigest() != want || priced != want {
 		t.Fatalf("write-set folded to %s and priced at %s, StateDB digest %s", store.HeadDigest(), priced, want)

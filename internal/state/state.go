@@ -408,11 +408,6 @@ func (s *StateDB) record(set *AccessSet, key AccessKey) {
 	}
 }
 
-// Digest computes a deterministic Keccak-256 digest over the entire state,
-// used by tests and the core library to assert that every execution mode
-// commits to an identical final state.
-func (s *StateDB) Digest() types.Hash { return s.DigestWith(nil) }
-
 // AccountCount returns the number of non-empty accounts (for tests/stats).
 func (s *StateDB) AccountCount() int {
 	n := 0

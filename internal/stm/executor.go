@@ -208,8 +208,9 @@ type executor struct {
 // Execute runs the block optimistically against the (read-only) base
 // snapshot — a frozen genesis (mvstate.SnapshotOf) in one-shot replays
 // or the chained head (Store.Head) in server mode. The base is never
-// mutated: the final state is priced as a sparse override set over the
-// base, and its digest returned for the identical-to-sequential check.
+// mutated: the final write-set is priced over the base
+// (Snapshot.DigestAfter), and its digest returned for the
+// identical-to-sequential check.
 func Execute(block *types.Block, base *mvstate.Snapshot, cfg Config, eng Engine) (*Result, error) {
 	if cfg.NumPUs < 1 {
 		return nil, fmt.Errorf("stm: NumPUs must be >= 1, got %d", cfg.NumPUs)
@@ -572,9 +573,10 @@ func (ex *executor) addConflict(from, to int) {
 
 // commit concatenates every transaction's committed write set in
 // transaction order — later writers overwrite earlier ones, exactly as
-// the multi-version memory resolves reads — and prices it, with the
-// accumulated fees credited to the coinbase, as a sparse override set
-// over the base: no copy of the base state is ever made.
+// the multi-version memory resolves reads, and exactly as DigestAfter
+// resolves a repeated key — and prices it, with the accumulated fees
+// credited to the coinbase, over the base: no copy of the base state is
+// ever made.
 func (ex *executor) commit() {
 	var keys []state.AccessKey
 	var vals []mvstate.Value
@@ -588,5 +590,5 @@ func (ex *executor) commit() {
 		fees.Add(&fees, &st.feeDelta)
 	}
 	ex.res.Receipts = receipts
-	ex.res.Digest = ex.base.DigestWith(mvstate.BuildOverrides(ex.base, keys, vals, ex.block.Header.Coinbase, &fees))
+	ex.res.Digest = ex.base.DigestAfter(keys, vals, ex.block.Header.Coinbase, &fees)
 }

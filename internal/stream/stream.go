@@ -68,10 +68,11 @@ type Config struct {
 	// executes against it, and every committed block's write-set folds
 	// into the head, so later blocks see true chained state. Required.
 	Genesis *state.StateDB
-	// VerifyChain recomputes the head-state digest after every fold and
-	// asserts it matches the digest the block was verified against — the
-	// digest-continuity check. Full-state hashing per block; meant for
-	// CI and debugging, not peak-throughput serving.
+	// VerifyChain sums the head-state digest from scratch after every
+	// fold and asserts it matches both the store's accumulator and the
+	// digest the block was verified against — the digest-continuity
+	// check (verifyFold). Full-state hashing per block; meant for CI and
+	// debugging, not peak-throughput serving.
 	VerifyChain bool
 	// NumPUs overrides the architectural PU count when > 0.
 	NumPUs int
@@ -451,13 +452,12 @@ func (s *Service) commitLoop() {
 		}
 		s.store.Commit(prep.WriteKeys, prep.WriteVals, ex.pre.block.Header.Coinbase, &prep.Fees)
 		if s.cfg.VerifyChain {
-			if got := s.store.HeadDigest(); got != ex.pre.digest {
+			if err := verifyFold(s.store, ex.pre.digest); err != nil {
 				if pre != nil {
 					pre.Close()
 				}
 				s.endWork(telemetry.StageCommit, start)
-				s.fail(fmt.Errorf("stream: head digest %s after folding block %s != verified digest %s",
-					got, ex.pre.block.Hash(), ex.pre.digest))
+				s.fail(fmt.Errorf("stream: after folding block %s: %w", ex.pre.block.Hash(), err))
 				return
 			}
 		}
@@ -486,6 +486,18 @@ func (s *Service) commitLoop() {
 		s.lastCommit.Store(time.Now().UnixNano())
 		s.endWork(telemetry.StageCommit, start)
 	}
+}
+
+// verifyFold is the -verify-chain check after a fold: the head summed
+// from scratch must equal both the store's accumulator and the digest
+// the block was priced at. The from-scratch sum shares no state with the
+// accumulator, so it also catches a head changed outside Commit.
+func verifyFold(st *mvstate.Store, priced types.Hash) error {
+	acc, scratch := st.HeadDigest(), st.HeadDB().Digest()
+	if acc != scratch || acc != priced {
+		return fmt.Errorf("head digest %s (from scratch %s) != priced digest %s", acc, scratch, priced)
+	}
+	return nil
 }
 
 // shadowStride converts a sample fraction to a deterministic stride:

@@ -8,6 +8,7 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
 	"mtpu/internal/evm"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/state"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
@@ -156,6 +157,44 @@ func TestStreamChainedDigest(t *testing.T) {
 	}
 	if err := snap.MVState.Check(); err != nil {
 		t.Fatalf("mvstate snapshot invariants: %v", err)
+	}
+}
+
+// TestVerifyFoldIsIndependent: the -verify-chain check must not compare
+// the accumulator's delta with itself. A head changed outside Commit
+// leaves the accumulator — and every digest priced from it — where it
+// was, so only the from-scratch sum can see it, and verifyFold must.
+func TestVerifyFoldIsIndependent(t *testing.T) {
+	src, err := workload.StreamSpec{Blocks: 2, Txs: 8, Dep: 0.3, Seed: 5}.Open()
+	if err != nil {
+		t.Fatalf("opening stream: %v", err)
+	}
+	store := mvstate.NewStore(src.Genesis(), nil)
+	for i := 0; ; i++ {
+		b, ok := src.Next()
+		if !ok {
+			break
+		}
+		head := store.Head()
+		prep, err := core.PrepareBlock(head, b)
+		if err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		priced := prep.DigestAt(head, b.Header.Coinbase)
+		store.Commit(prep.WriteKeys, prep.WriteVals, b.Header.Coinbase, &prep.Fees)
+		if err := verifyFold(store, priced); err != nil {
+			t.Fatalf("block %d: honest fold rejected: %v", i, err)
+		}
+	}
+
+	priced := store.HeadDigest()
+	store.HeadDB().SetBalance(types.Address{19: 0x77}, uint256.NewInt(1))
+	store.HeadDB().DiscardJournal()
+	if store.HeadDigest() != priced {
+		t.Fatal("a write outside Commit moved the accumulator; the test proves nothing")
+	}
+	if err := verifyFold(store, priced); err == nil {
+		t.Fatal("verifyFold accepted a head changed outside Commit")
 	}
 }
 
