@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test race vet fuzz-smoke diff-smoke bench bench-selftest stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts sweeps-identical ci
+.PHONY: all build test race vet fuzz-smoke diff-smoke bench bench-selftest stats-smoke perf report-smoke serve-smoke scenario-smoke sweeps-identical ci
 
 all: build
 
@@ -58,18 +58,6 @@ stats-smoke:
 	$(GO) run ./cmd/mtpu-bench -stats -json bench_stats.json fig13
 	$(GO) run ./cmd/mtpu-bench -validate bench_stats.json
 
-# Run the optimistic-baseline sweep (Block-STM vs DAG-driven
-# scheduling), write the JSON report, and validate the STM invariants.
-stm-sweep:
-	$(GO) run ./cmd/mtpu-bench -parallel 0 -json bench_stm.json stm
-	$(GO) run ./cmd/mtpu-bench -validate bench_stm.json
-
-# Run the pre-scheduled batch-execute sweep, write the JSON report, and
-# validate the BSE invariants.
-bse-sweep:
-	$(GO) run ./cmd/mtpu-bench -parallel 0 -json bench_bse.json bse
-	$(GO) run ./cmd/mtpu-bench -validate bench_bse.json
-
 # Measure simulator hot-loop throughput (host tx/s), validate the fresh
 # artifact, and fail if any point regresses below the committed
 # BENCH_perf.json baseline by more than the ratio. The numbers are
@@ -123,13 +111,6 @@ scenario-smoke:
 			-mode all -shadow-sample 1 -verify-chain -ledger bench_scenarios.jsonl || exit 1; \
 	done
 
-# Strictly validate the checked-in sweep artifacts: catches a schema bump
-# (or a new sweep such as bse or perf) that was not regenerated into the
-# files.
-validate-artifacts:
-	$(GO) run ./cmd/mtpu-bench -validate BENCH_sweeps.json
-	$(GO) run ./cmd/mtpu-bench -validate BENCH_perf.json
-
 # The same-machine contract: regenerate the full sweep report with the
 # committed seed and parallelism and compare every field of
 # BENCH_sweeps.json except the host-time ones (wall times, tx/s rates,
@@ -139,4 +120,4 @@ validate-artifacts:
 sweeps-identical:
 	$(GO) test ./cmd/mtpu-bench -run '^TestSweepsIdentical$$' -count=1
 
-ci: vet build race bench-selftest diff-smoke fuzz-smoke stats-smoke stm-sweep bse-sweep perf report-smoke serve-smoke scenario-smoke validate-artifacts sweeps-identical
+ci: vet build race bench-selftest diff-smoke fuzz-smoke stats-smoke perf report-smoke serve-smoke scenario-smoke sweeps-identical

@@ -410,7 +410,7 @@ func BenchmarkLearnHotspotsWarm(b *testing.B) {
 // block: the sequential EVM trace pass plus the conflict-DAG build.
 func BenchmarkPrepareBlock192(b *testing.B) {
 	genesis, blocks := bigBlock(b, 1)
-	head := mvstate.SnapshotOf(genesis)
+	head := mvstate.NewStore(genesis, nil).Head()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,7 +436,7 @@ func digestWriteSet(b *testing.B) *core.Prepared {
 	b.Helper()
 	gen := workload.NewGenerator(1, digestPools[0])
 	genesis := gen.Genesis()
-	prep, err := core.PrepareBlock(mvstate.SnapshotOf(genesis), gen.TokenBlock(32, 0.3))
+	prep, err := core.PrepareBlock(mvstate.NewStore(genesis, nil).Head(), gen.TokenBlock(32, 0.3))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -476,7 +476,7 @@ func finite(name string, v float64) error {
 	return nil
 }
 
-// checkReport enforces the schema-4 invariants on a decoded report.
+// checkReport enforces the current schema's invariants on a decoded report.
 // Split from the file decoding so corruptions JSON cannot represent
 // (NaN, ±Inf) are testable by constructing the struct directly.
 func checkReport(r *benchReport) error {

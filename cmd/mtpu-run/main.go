@@ -215,8 +215,9 @@ func realMain() int {
 	var baseline uint64 // first listed mode anchors the speedup column
 	var reports []*obs.Report
 	var workloads []telemetry.Workload
+	head := mvstate.NewStore(genesis, nil).Head()
 	for _, m := range modes {
-		opts := core.ReplayOpts{Genesis: genesis, Tel: tel}
+		opts := core.ReplayOpts{Head: head, Tel: tel}
 		if instrument {
 			opts.Obs = obs.NewCollector()
 		}
@@ -242,7 +243,7 @@ func realMain() int {
 		// internal-digest engines (optimistic execution) asserted state
 		// identity inside Run, and every runtime-detected conflict must lie
 		// inside the DAG's transitive closure.
-		if err := core.VerifyResultAt(mvstate.SnapshotOf(genesis), block, res); err != nil {
+		if err := core.VerifyResultAt(head, block, res); err != nil {
 			log.Printf("mtpu-run: serializability check failed: %v", err)
 			return 1
 		}

@@ -13,6 +13,7 @@ import (
 
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/workload"
 )
 
@@ -76,7 +77,7 @@ func main() {
 	fmt.Printf("\nmakespan %d cycles, utilization %.2f, %d redundancy-steered picks\n",
 		res.Cycles, res.Utilization, res.Sched.RedundantSteers)
 
-	if err := core.VerifySchedule(genesis, block, res); err != nil {
+	if err := core.VerifyScheduleAt(mvstate.NewStore(genesis, nil).Head(), block, res); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("schedule verified serializable ✔")

@@ -13,6 +13,7 @@ import (
 	"mtpu/internal/contracts"
 	"mtpu/internal/core"
 	"mtpu/internal/evm"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/state"
 	"mtpu/internal/types"
 	"mtpu/internal/uint256"
@@ -72,7 +73,7 @@ func main() {
 	fmt.Printf("  full MTPU (4 PUs): %8d cycles  → %.2fx speedup\n",
 		fast.Cycles, float64(seq.Cycles)/float64(fast.Cycles))
 
-	if err := core.VerifySchedule(genesis, block, fast); err != nil {
+	if err := core.VerifyScheduleAt(mvstate.NewStore(genesis, nil).Head(), block, fast); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("  parallel schedule verified serializable ✔")

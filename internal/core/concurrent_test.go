@@ -103,6 +103,7 @@ func TestSharedTraceStepsStayReadOnly(t *testing.T) {
 		}
 	}
 
+	head := headOf(genesis)
 	var wg sync.WaitGroup
 	modes := engine.Modes() // all eight, Block-STM (which re-runs plans per incarnation) included
 	for r := 0; r < 16; r++ {
@@ -111,7 +112,7 @@ func TestSharedTraceStepsStayReadOnly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if _, err := acc.ReplayWith(block, traces, receipts, digest, mode,
-				ReplayOpts{NumPUs: 4, Plans: plans, Genesis: genesis}); err != nil {
+				ReplayOpts{NumPUs: 4, Plans: plans, Head: head}); err != nil {
 				t.Errorf("%v: %v", mode, err)
 			}
 		}()

@@ -233,10 +233,10 @@ type ReplayOpts struct {
 	// sequential+ILP) still run on one PU.
 	NumPUs int
 	// Plans supplies prebuilt plain plans aligned with the traces (e.g.
-	// tracecache.Entry.PlainPlans), so one plan set — and its shared fill
-	// memo — serves every mode of a sweep. Ignored by ModeSTHotspot, whose
-	// plans depend on the Contract Table. nil has the engine build its
-	// own. Shared plans are only read during replay.
+	// the experiments' trace-cache entries), so one plan set — and its
+	// shared fill memo — serves every mode of a sweep. Ignored by
+	// ModeSTHotspot, whose plans depend on the Contract Table. nil has
+	// the engine build its own. Shared plans are only read during replay.
 	Plans []*pu.Plan
 	// Obs enables cycle-level instrumentation: the collector receives
 	// pipeline and scheduler events during the replay and the Result
@@ -244,18 +244,15 @@ type ReplayOpts struct {
 	// nil (the default) keeps every hot path on its uninstrumented,
 	// zero-allocation route.
 	Obs *obs.Collector
-	// Genesis is the pre-block state, required by engines that
-	// re-execute transactions functionally instead of replaying traces
-	// (those whose NeedsGenesis() is true, e.g. ModeBlockSTM). It is
-	// only read, never mutated, so one shared genesis serves concurrent
-	// replays.
+	// Genesis is unread. It is kept only because the block-stream
+	// benchmark (bench/traced.go, a separate module) still sets it.
 	Genesis *state.StateDB
-	// Head is the pre-block state as an mvstate snapshot — the chained
-	// head in server mode (internal/stream), where the pre-block state
-	// is the result of folding every committed block into the store. It
-	// takes precedence over Genesis for engines that re-execute
-	// functionally; when nil, ReplayWith derives a bare snapshot from
-	// Genesis so one-shot replays pay no locking.
+	// Head is the pre-block state as an mvstate store snapshot, required
+	// by engines that re-execute transactions functionally instead of
+	// replaying traces (ModeBlockSTM): the chained head in server mode
+	// (internal/stream), or mvstate.NewStore(genesis, nil).Head() built
+	// once and shared by one-shot replays. It is only read, never
+	// mutated, so one head serves concurrent replays.
 	Head *mvstate.Snapshot
 	// Tel enables host-side telemetry: the replay's wall-clock latency,
 	// simulated volume, cache warm/cold splits, scheduler pick rates and
@@ -334,7 +331,6 @@ func (a *Accelerator) ReplayWith(block *types.Block, traces []*arch.TxTrace, rec
 		Proc:     proc,
 		Plans:    plans,
 		Sink:     sink,
-		Genesis:  opts.Genesis,
 		Head:     opts.Head,
 		Receipts: receipts,
 		Digest:   digest,
@@ -392,23 +388,15 @@ func (a *Accelerator) ReplayWith(block *types.Block, traces []*arch.TxTrace, rec
 	return res, nil
 }
 
-// VerifySchedule re-executes the block's transactions in the dispatch
-// order of a schedule against a buffered view of genesis (the base
-// is only read, never copied) and checks the final state digest matches
-// sequential execution — the serializability invariant of §3.2
-// ("scheduling does not violate blockchain consistency"). It does not
-// apply to ModeBlockSTM, whose schedule deliberately overlaps
-// conflicting transactions and re-dispatches aborted ones; that mode
-// asserts digest identity internally and is cross-checked with
-// VerifySTMConflicts instead.
-func VerifySchedule(genesis *state.StateDB, block *types.Block, res *Result) error {
-	return VerifyScheduleAt(mvstate.SnapshotOf(genesis), block, res)
-}
-
-// VerifyScheduleAt is VerifySchedule against an mvstate snapshot of the
-// pre-block state — the form the block-stream service uses, where the
-// pre-state is a pinned snapshot of the chained head rather than a
-// standalone genesis StateDB.
+// VerifyScheduleAt re-executes the block's transactions in the dispatch
+// order of a schedule against a buffered view of head, a store snapshot
+// of the pre-block state (only read, never copied), and checks the final
+// state digest matches sequential execution — the serializability
+// invariant of §3.2 ("scheduling does not violate blockchain
+// consistency"). It does not apply to ModeBlockSTM, whose schedule
+// deliberately overlaps conflicting transactions and re-dispatches
+// aborted ones; that mode asserts digest identity internally and is
+// cross-checked with VerifySTMConflicts instead.
 func VerifyScheduleAt(head *mvstate.Snapshot, block *types.Block, res *Result) error {
 	order := make([]sched.Dispatch, len(res.Sched.Dispatches))
 	copy(order, res.Sched.Dispatches)
@@ -499,7 +487,7 @@ func VerifySTMConflicts(dag *types.DAG, conflicts []stm.Conflict) error {
 
 // VerifyResultAt applies the serializability check a result's engine
 // declares, against an mvstate snapshot of the pre-block state (see
-// VerifyScheduleAt): DAG-order engines get the full VerifySchedule
+// VerifyScheduleAt): DAG-order engines get the full VerifyScheduleAt
 // replay, internal-digest engines get the conflict cross-check. This is
 // the one verification entry point the CLIs and the differential harness
 // share, so every engine is held to its declared bar the same way

@@ -98,7 +98,7 @@ func TestVerifySchedulePermutedDispatches(t *testing.T) {
 			d := shuffled.Sched.Dispatches
 			d[i], d[j] = d[j], d[i]
 		})
-		if err := VerifySchedule(genesis, block, &shuffled); err != nil {
+		if err := VerifyScheduleAt(headOf(genesis), block, &shuffled); err != nil {
 			t.Fatalf("run %d: shuffled honest schedule rejected: %v", run, err)
 		}
 	}

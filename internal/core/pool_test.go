@@ -26,7 +26,7 @@ func TestPooledProcessorReplayIdentical(t *testing.T) {
 	}
 
 	acc := New(arch.DefaultConfig())
-	opts := ReplayOpts{Genesis: genesis}
+	opts := ReplayOpts{Head: headOf(genesis)}
 	for _, m := range engine.Modes() {
 		first, err := acc.ReplayWith(block, traces, receipts, digest, m, opts)
 		if err != nil {

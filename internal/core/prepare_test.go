@@ -66,7 +66,7 @@ func TestDecodedTracesAreInterned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := PrepareBlock(mvstate.SnapshotOf(src.Genesis()), block)
+		prep, err := PrepareBlock(headOf(src.Genesis()), block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestModeBlockSTMEmptyCalleeInOneBlock(t *testing.T) {
 		t.Fatal("the forwarded CALL failed; the block no longer exercises the case")
 	}
 	res, err := New(arch.DefaultConfig()).ReplayWith(block, traces, receipts, digest, ModeBlockSTM,
-		ReplayOpts{NumPUs: 2, Genesis: genesis})
+		ReplayOpts{NumPUs: 2, Head: headOf(genesis)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mtpu/internal/arch"
@@ -23,7 +24,7 @@ func TestModeBlockSTMMatchesSequential(t *testing.T) {
 			}
 			for _, pus := range []int{2, 4, 8} {
 				res, err := acc.ReplayWith(block, traces, receipts, digest, ModeBlockSTM,
-					ReplayOpts{NumPUs: pus, Genesis: genesis})
+					ReplayOpts{NumPUs: pus, Head: headOf(genesis)})
 				if err != nil {
 					t.Fatalf("pus=%d: %v", pus, err)
 				}
@@ -59,8 +60,9 @@ func TestModeBlockSTMRequiresGenesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc.Replay(block, traces, receipts, digest, ModeBlockSTM); err == nil {
-		t.Fatal("expected error replaying block-stm without ReplayOpts.Genesis")
+	_, err = acc.ReplayWith(block, traces, receipts, digest, ModeBlockSTM, ReplayOpts{Genesis: genesis})
+	if err == nil || !strings.Contains(err.Error(), "ReplayOpts.Head") {
+		t.Fatalf("block-stm without ReplayOpts.Head: err = %v, want one naming the field", err)
 	}
 }
 
@@ -76,7 +78,7 @@ func TestModeBlockSTMObsReport(t *testing.T) {
 	}
 	col := obs.NewCollector()
 	res, err := acc.ReplayWith(block, traces, receipts, digest, ModeBlockSTM,
-		ReplayOpts{NumPUs: 4, Genesis: genesis, Obs: col})
+		ReplayOpts{NumPUs: 4, Head: headOf(genesis), Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,15 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	modes := append([]Mode{}, allModes...)
 	modes = append(modes, ModeBlockSTM)
 	tel := telemetry.New()
+	head := headOf(genesis)
 	for _, m := range modes {
 		bare, err := acc.ReplayWith(block, traces, receipts, digest, m,
-			ReplayOpts{Genesis: genesis})
+			ReplayOpts{Head: head})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		observed, err := acc.ReplayWith(block, traces, receipts, digest, m,
-			ReplayOpts{Genesis: genesis, Tel: tel})
+			ReplayOpts{Head: head, Tel: tel})
 		if err != nil {
 			t.Fatalf("%v with telemetry: %v", m, err)
 		}
@@ -85,13 +86,13 @@ func TestTelemetryCoexistsWithCollector(t *testing.T) {
 	}
 
 	only, err := acc.ReplayWith(block, traces, receipts, digest, ModeSpatialTemporal,
-		ReplayOpts{Genesis: genesis, Obs: obs.NewCollector()})
+		ReplayOpts{Obs: obs.NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := telemetry.New()
 	both, err := acc.ReplayWith(block, traces, receipts, digest, ModeSpatialTemporal,
-		ReplayOpts{Genesis: genesis, Obs: obs.NewCollector(), Tel: tel})
+		ReplayOpts{Obs: obs.NewCollector(), Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestVerifyScheduleDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySchedule(genesis, block, res); err != nil {
+	if err := VerifyScheduleAt(headOf(genesis), block, res); err != nil {
 		t.Fatalf("honest schedule rejected: %v", err)
 	}
 
@@ -29,13 +29,13 @@ func TestVerifyScheduleDetectsTampering(t *testing.T) {
 	tampered := *res
 	tampered.Sched.Dispatches = append([]sched.Dispatch{}, res.Sched.Dispatches...)
 	tampered.Sched.Dispatches = append(tampered.Sched.Dispatches, res.Sched.Dispatches[0])
-	if err := VerifySchedule(genesis, block, &tampered); err == nil {
+	if err := VerifyScheduleAt(headOf(genesis), block, &tampered); err == nil {
 		t.Error("duplicate dispatch accepted")
 	}
 
 	// Drop a dispatch.
 	tampered.Sched.Dispatches = res.Sched.Dispatches[:len(res.Sched.Dispatches)-1]
-	if err := VerifySchedule(genesis, block, &tampered); err == nil {
+	if err := VerifyScheduleAt(headOf(genesis), block, &tampered); err == nil {
 		t.Error("missing dispatch accepted")
 	}
 
@@ -62,7 +62,7 @@ func TestVerifyScheduleDetectsTampering(t *testing.T) {
 		}
 	}
 	tampered.Sched.Dispatches = bad
-	if err := VerifySchedule(genesis, block, &tampered); err == nil {
+	if err := VerifyScheduleAt(headOf(genesis), block, &tampered); err == nil {
 		t.Error("dependency-violating order accepted")
 	} else if !strings.Contains(err.Error(), "tx") {
 		t.Errorf("unhelpful error: %v", err)
@@ -266,7 +266,7 @@ func TestHotspotTableGeneralizesAcrossBlocks(t *testing.T) {
 	if hot.SkippedInstructions == 0 {
 		t.Fatal("no instructions skipped on the unseen block")
 	}
-	if err := VerifySchedule(genesis, testBlock, hot); err != nil {
+	if err := VerifyScheduleAt(headOf(genesis), testBlock, hot); err != nil {
 		t.Fatal(err)
 	}
 }

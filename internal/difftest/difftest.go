@@ -223,7 +223,7 @@ func (h *Harness) Run(spec Spec) ([]Failure, error) {
 	acc.LearnHotspots(traces, spec.topN())
 
 	var failures []Failure
-	head := mvstate.SnapshotOf(genesis)
+	head := mvstate.NewStore(genesis, nil).Head()
 	for _, m := range h.modes() {
 		if err := h.runMode(acc, head, block, traces, receipts, digest, m); err != nil {
 			failures = append(failures, Failure{Spec: spec, Mode: m, Engine: m.String(), Err: err})
@@ -340,7 +340,7 @@ func OracleCheckAt(head *mvstate.Snapshot, block *types.Block,
 func (h *Harness) runMode(acc *core.Accelerator, head *mvstate.Snapshot, block *types.Block,
 	traces []*arch.TxTrace, receipts []*types.Receipt, digest types.Hash, m engine.Mode) error {
 	res, err := acc.ReplayWith(block, traces, receipts, digest, m,
-		core.ReplayOpts{Genesis: head.DB(), Head: head, Obs: obs.NewCollector()})
+		core.ReplayOpts{Head: head, Obs: obs.NewCollector()})
 	if err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}

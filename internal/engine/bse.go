@@ -106,4 +106,3 @@ func (bseEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (Result, e
 }
 
 func (bseEngine) Verify() Verification { return VerifyDAGOrder }
-func (bseEngine) NeedsGenesis() bool   { return false }

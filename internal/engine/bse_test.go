@@ -77,7 +77,7 @@ func replayBSE(t *testing.T, genesis *state.StateDB, block *types.Block) *core.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifySchedule(genesis, block, res); err != nil {
+	if err := core.VerifyScheduleAt(headOf(genesis), block, res); err != nil {
 		t.Fatalf("BSE schedule rejected: %v", err)
 	}
 	return res

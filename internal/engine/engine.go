@@ -21,7 +21,6 @@ import (
 	"mtpu/internal/mvstate"
 	"mtpu/internal/obs"
 	"mtpu/internal/sched"
-	"mtpu/internal/state"
 	"mtpu/internal/stm"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
@@ -58,8 +57,9 @@ const (
 	// multi-version execution with run-time validation, abort and
 	// re-execution. It uses no consensus DAG — conflicts are discovered
 	// the hard way, and every aborted incarnation's PU cycles are charged
-	// as wasted work. Replays in this mode require the pre-block genesis
-	// state (the functional re-execution needs it).
+	// as wasted work. Replays in this mode require the pre-block state as
+	// a store snapshot in ReplayOpts.Head (the functional re-execution
+	// reads it).
 	ModeBlockSTM
 	// ModeBSE is Batch-Schedule-Execute (Hay & Friedman, 2024): the
 	// consensus DAG is greedily partitioned into conflict-free batches
@@ -85,9 +85,9 @@ type Verification int
 
 const (
 	// VerifyDAGOrder: the schedule is checked externally by
-	// core.VerifySchedule — replaying the dispatch order against genesis
-	// must reproduce the sequential state digest, and no transaction may
-	// start before its DAG predecessors end.
+	// core.VerifyScheduleAt — replaying the dispatch order against the
+	// pre-block state must reproduce the sequential state digest, and no
+	// transaction may start before its DAG predecessors end.
 	VerifyDAGOrder Verification = iota
 	// VerifyInternalDigest: the engine asserts digest/receipt identity
 	// with sequential execution inside Run (its schedule deliberately
@@ -127,14 +127,11 @@ type Env struct {
 	// Block-STM) forward it; everything latency/throughput-shaped is
 	// recorded by core around the Run call.
 	Tel *telemetry.Metrics
-	// Genesis is the pre-block state, nil unless the caller supplied
-	// one. Engines that need it (NeedsGenesis) must error cleanly when
-	// it is absent. It is only read, never mutated.
-	Genesis *state.StateDB
-	// Head is the pre-block state as an mvstate snapshot. In server
-	// mode it is the chained head (post block N-1); in one-shot replays
-	// core derives it from Genesis. Engines that re-execute
-	// transactions functionally (Block-STM) read through it.
+	// Head is the pre-block state as an mvstate snapshot, nil unless
+	// the caller supplied one: the chained head (post block N-1) in
+	// server mode, a never-committed store's head in one-shot replays.
+	// Engines that re-execute transactions functionally (Block-STM) read
+	// through it and must error cleanly when it is absent.
 	Head *mvstate.Snapshot
 	// Receipts and Digest are the golden sequential results every
 	// engine must reproduce.
@@ -180,9 +177,6 @@ type Engine interface {
 	Run(block *types.Block, traces []*arch.TxTrace, env *Env) (Result, error)
 	// Verify declares how the result is checked for serializability.
 	Verify() Verification
-	// NeedsGenesis reports whether Run requires Env.Genesis (engines
-	// that re-execute functionally rather than replaying traces).
-	NeedsGenesis() bool
 }
 
 var (

@@ -8,6 +8,7 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
+	"mtpu/internal/mvstate"
 	"mtpu/internal/state"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
@@ -22,6 +23,12 @@ func buildBlock(t *testing.T, seed int64, n int, depRatio float64) (*state.State
 		t.Fatal(err)
 	}
 	return genesis, block
+}
+
+// headOf is genesis as the store snapshot one-shot replays and schedule
+// checks read.
+func headOf(genesis *state.StateDB) *mvstate.Snapshot {
+	return mvstate.NewStore(genesis, nil).Head()
 }
 
 // TestRegistryEnumerationDeterministic: two enumerations agree, the
@@ -166,9 +173,10 @@ func TestScalarForcesOnePUUnderOverride(t *testing.T) {
 	}
 }
 
-// TestGenesisRequirementErrorsCleanly: every engine that declares
-// NeedsGenesis must reject a replay without one (with a useful message),
-// and every engine that doesn't must run without it.
+// TestGenesisRequirementErrorsCleanly: Block-STM, which re-executes
+// functionally, must reject a replay without ReplayOpts.Head with an
+// error naming the field and succeed with it; every engine that replays
+// traces must run without it.
 func TestGenesisRequirementErrorsCleanly(t *testing.T) {
 	genesis, block := buildBlock(t, 53, 32, 0.3)
 	traces, receipts, digest, err := core.CollectTraces(genesis, block)
@@ -178,21 +186,16 @@ func TestGenesisRequirementErrorsCleanly(t *testing.T) {
 	acc := core.New(arch.DefaultConfig())
 	acc.LearnHotspots(traces, 8)
 	for _, m := range engine.Modes() {
-		e, err := engine.Get(m)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, replayErr := acc.Replay(block, traces, receipts, digest, m)
-		if e.NeedsGenesis() {
+		if m == engine.ModeBlockSTM {
 			if replayErr == nil {
-				t.Errorf("%v: ran without the genesis it declares it needs", m)
-			} else if !strings.Contains(replayErr.Error(), "genesis") {
-				t.Errorf("%v: unhelpful genesis error: %v", m, replayErr)
+				t.Errorf("%v: ran without the pre-block state it re-executes over", m)
+			} else if !strings.Contains(replayErr.Error(), "ReplayOpts.Head") {
+				t.Errorf("%v: error does not name ReplayOpts.Head: %v", m, replayErr)
 			}
-			// And with genesis supplied it must succeed.
 			if _, err := acc.ReplayWith(block, traces, receipts, digest, m,
-				core.ReplayOpts{Genesis: genesis}); err != nil {
-				t.Errorf("%v: failed with genesis: %v", m, err)
+				core.ReplayOpts{Head: headOf(genesis)}); err != nil {
+				t.Errorf("%v: failed with a head: %v", m, err)
 			}
 			continue
 		}
@@ -206,7 +209,7 @@ func TestGenesisRequirementErrorsCleanly(t *testing.T) {
 
 // TestVerifyContractCoversEveryEngine: each engine declares exactly one
 // verification path, and the DAG-order ones genuinely pass
-// core.VerifySchedule on a contended workload.
+// core.VerifyScheduleAt on a contended workload.
 func TestVerifyContractCoversEveryEngine(t *testing.T) {
 	genesis, block := buildBlock(t, 57, 96, 0.6)
 	traces, receipts, digest, err := core.CollectTraces(genesis, block)
@@ -215,19 +218,20 @@ func TestVerifyContractCoversEveryEngine(t *testing.T) {
 	}
 	acc := core.New(arch.DefaultConfig())
 	acc.LearnHotspots(traces, 8)
+	head := headOf(genesis)
 	for _, m := range engine.Modes() {
 		e, err := engine.Get(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := acc.ReplayWith(block, traces, receipts, digest, m,
-			core.ReplayOpts{Genesis: genesis})
+			core.ReplayOpts{Head: head})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
 		switch e.Verify() {
 		case engine.VerifyDAGOrder:
-			if err := core.VerifySchedule(genesis, block, res); err != nil {
+			if err := core.VerifyScheduleAt(head, block, res); err != nil {
 				t.Errorf("%v: %v", m, err)
 			}
 		case engine.VerifyInternalDigest:

@@ -10,7 +10,6 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/hotspot"
-	"mtpu/internal/mvstate"
 	"mtpu/internal/sched"
 	"mtpu/internal/stm"
 	"mtpu/internal/types"
@@ -72,7 +71,6 @@ func (scalarEngine) Run(_ *types.Block, traces []*arch.TxTrace, env *Env) (Resul
 }
 
 func (scalarEngine) Verify() Verification { return VerifyDAGOrder }
-func (scalarEngine) NeedsGenesis() bool   { return false }
 
 // ilpEngine: one ILP-enabled PU, caches flushed between transactions.
 type ilpEngine struct{}
@@ -94,7 +92,6 @@ func (ilpEngine) Run(_ *types.Block, traces []*arch.TxTrace, env *Env) (Result, 
 }
 
 func (ilpEngine) Verify() Verification { return VerifyDAGOrder }
-func (ilpEngine) NeedsGenesis() bool   { return false }
 
 // synchronousEngine: barrier-round parallelism across NumPUs.
 type synchronousEngine struct{}
@@ -115,7 +112,6 @@ func (synchronousEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (R
 }
 
 func (synchronousEngine) Verify() Verification { return VerifyDAGOrder }
-func (synchronousEngine) NeedsGenesis() bool   { return false }
 
 // stEngine: the §3.2 spatio-temporal scheduler, with or without the
 // §3.3.5 redundancy (reuse) optimization.
@@ -145,7 +141,6 @@ func (stEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (Result, er
 }
 
 func (stEngine) Verify() Verification { return VerifyDAGOrder }
-func (stEngine) NeedsGenesis() bool   { return false }
 
 // hotspotEngine: spatio-temporal + redundancy + the §3.4 hotspot
 // optimization. Its plans come from the Contract Table, so prebuilt
@@ -179,7 +174,6 @@ func (hotspotEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (Resul
 }
 
 func (hotspotEngine) Verify() Verification { return VerifyDAGOrder }
-func (hotspotEngine) NeedsGenesis() bool   { return false }
 
 // blockSTMEngine: the optimistic software baseline — multi-version
 // execution with run-time validation, abort and re-execution.
@@ -197,14 +191,10 @@ func (blockSTMEngine) Plans(_ *hotspot.ContractTable, traces []*arch.TxTrace, pr
 }
 
 func (e blockSTMEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (Result, error) {
-	base := env.Head
-	if base == nil && env.Genesis != nil {
-		base = mvstate.SnapshotOf(env.Genesis)
+	if env.Head == nil {
+		return Result{}, fmt.Errorf("engine: mode %s re-executes functionally and requires the pre-block state in ReplayOpts.Head", e.Name())
 	}
-	if base == nil {
-		return Result{}, fmt.Errorf("engine: mode %s requires the pre-block genesis state (ReplayOpts.Head or Genesis)", e.Name())
-	}
-	stmRes, err := stm.Execute(block, base, stm.Config{
+	stmRes, err := stm.Execute(block, env.Head, stm.Config{
 		NumPUs:           env.Cfg.NumPUs,
 		ScheduleOverhead: env.Cfg.ScheduleOverhead,
 		ValidateBase:     env.Cfg.StmValidateBase,
@@ -234,4 +224,3 @@ func (e blockSTMEngine) Run(block *types.Block, _ []*arch.TxTrace, env *Env) (Re
 }
 
 func (blockSTMEngine) Verify() Verification { return VerifyInternalDigest }
-func (blockSTMEngine) NeedsGenesis() bool   { return true }

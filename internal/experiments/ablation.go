@@ -6,7 +6,6 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // AblationRow is one knob setting and the full-system speedup under it.
@@ -81,7 +80,7 @@ func ablationSpecs() []ablationSpec {
 // piece is weakened?". Knob settings fan out over env.Workers; they
 // share one cached trace set and one scalar reference.
 func Ablations(env *Env) []AblationRow {
-	e := env.Cache.Get(tracecache.Token(160, 0.3))
+	e := env.cache.Get(tokenSpec(160, 0.3))
 
 	// Scalar reference is independent of the knobs under test.
 	scalarAcc := core.New(arch.DefaultConfig())

@@ -66,11 +66,11 @@ func Table2(env *Env) []Table2Row {
 		}
 		tx.Value.SetUint64(tc.Value)
 		block := types.NewBlock(env.Gen.Header(), []*types.Transaction{tx})
-		traces, _, _, err := core.CollectTraces(env.Genesis, block)
+		prep, err := core.PrepareBlock(env.cache.head, block)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: table2 %s.%s: %v", tc.Contract, tc.Function, err))
 		}
-		t := traces[0]
+		t := prep.Traces[0]
 		bytecode := 0
 		for _, cl := range t.CodeLoads {
 			bytecode += cl.CodeBytes

@@ -8,7 +8,6 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // BSEDepRatios and BSEPUCounts reuse the optimistic sweep's grid so the
@@ -44,7 +43,7 @@ type BSEPoint struct {
 // baseline and the precomputed batch count, built once per dep ratio.
 type bsePrep struct {
 	once     sync.Once
-	entry    *tracecache.Entry
+	entry    *cacheEntry
 	acc      *core.Accelerator
 	base     uint64
 	achieved float64
@@ -53,7 +52,7 @@ type bsePrep struct {
 
 func (p *bsePrep) init(env *Env, target float64) {
 	p.once.Do(func() {
-		p.entry = env.Cache.Get(tracecache.Token(SchedBlockSize, target))
+		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
 		p.acc = core.New(arch.DefaultConfig())
 
 		baseRes, err := p.acc.ReplayWith(p.entry.Block, p.entry.Traces,

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"mtpu/internal/arch"
-	"mtpu/internal/baseline"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // ERC20Shares is the Table 8 sweep (proportion of ERC-20 transactions).
@@ -31,7 +29,7 @@ func Table8(env *Env) []Table8Row {
 	rows := make([]Table8Row, len(ERC20Shares))
 	env.forEachPoint(len(rows), func(i int) {
 		share := ERC20Shares[i]
-		e := env.Cache.Get(tracecache.ERC20(CompareBlockSize, share))
+		e := env.cache.Get(erc20Spec(CompareBlockSize, share))
 		plans := e.PlainPlans()
 
 		acc := core.New(arch.DefaultConfig())
@@ -49,8 +47,8 @@ func Table8(env *Env) []Table8Row {
 			panic(err)
 		}
 
-		flags := baseline.ERC20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
-		bpu := baseline.New(1, e.Traces, flags)
+		flags := erc20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
+		bpu := newBPU(1, e.Traces, flags)
 		bpuRes := bpu.RunSequential(len(e.Traces))
 
 		rows[i] = Table8Row{
@@ -97,7 +95,7 @@ func Table9(env *Env) []Table9Row {
 	rows := make([]Table9Row, len(Table9Ratios))
 	env.forEachPoint(len(rows), func(i int) {
 		ratio := Table9Ratios[i]
-		e := env.Cache.Get(tracecache.Mixed(CompareBlockSize, ratio))
+		e := env.cache.Get(mixedSpec(CompareBlockSize, ratio))
 		plans := e.PlainPlans()
 
 		acc := core.New(arch.DefaultConfig())
@@ -116,8 +114,8 @@ func Table9(env *Env) []Table9Row {
 			panic(err)
 		}
 
-		flags := baseline.ERC20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
-		bpu := baseline.New(4, e.Traces, flags)
+		flags := erc20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
+		bpu := newBPU(4, e.Traces, flags)
 		bpuRes := bpu.RunSynchronous(e.Block.DAG)
 
 		rows[i] = Table9Row{

@@ -12,9 +12,7 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
-	"mtpu/internal/state"
 	"mtpu/internal/telemetry"
-	"mtpu/internal/tracecache"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
@@ -27,14 +25,15 @@ const envAccounts = 8192
 
 // Env carries the shared workload fixtures for one experiment run.
 type Env struct {
-	Seed    int64
-	Gen     *workload.Generator
-	Genesis *state.StateDB
+	Seed int64
+	Gen  *workload.Generator
 
-	// Cache shares generated blocks, golden traces and plain plans
+	// cache shares generated blocks, golden traces and plain plans
 	// between experiments (Fig. 14/15/16 sweep the same TokenBlock grid;
-	// Fig. 12 and Table 7 replay the same batches).
-	Cache *tracecache.Cache
+	// Fig. 12 and Table 7 replay the same batches), and holds the
+	// genesis as the one store head every decode and Block-STM replay
+	// reads.
+	cache *traceCache
 
 	// Workers is the fan-out of the sweep experiments; <= 1 runs
 	// serially. Results are identical at every setting.
@@ -59,12 +58,10 @@ type Env struct {
 // NewEnv builds the standard environment.
 func NewEnv(seed int64) *Env {
 	g := workload.NewGenerator(seed, envAccounts)
-	genesis := g.Genesis()
 	return &Env{
-		Seed:    seed,
-		Gen:     g,
-		Genesis: genesis,
-		Cache:   tracecache.New(seed, envAccounts, genesis),
+		Seed:  seed,
+		Gen:   g,
+		cache: newTraceCache(seed, envAccounts, g.Genesis()),
 	}
 }
 
@@ -75,8 +72,8 @@ var Top8Names = []string{
 }
 
 // batch returns the cached entry for a same-contract batch.
-func (e *Env) batch(name string, n int) *tracecache.Entry {
-	return e.Cache.Get(tracecache.Batch(name, n))
+func (e *Env) batch(name string, n int) *cacheEntry {
+	return e.cache.Get(batchSpec(name, n))
 }
 
 // batchTraces collects golden traces for a same-contract batch.

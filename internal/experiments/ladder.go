@@ -7,7 +7,6 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // LadderDepRatio and LadderPUs fix the reference block of the
@@ -33,7 +32,7 @@ type LadderRow struct {
 // Rows fan out over env.Workers; the speedup column is computed after
 // the barrier so row order never affects it.
 func Ladder(env *Env) []LadderRow {
-	e := env.Cache.Get(tracecache.Token(SchedBlockSize, LadderDepRatio))
+	e := env.cache.Get(tokenSpec(SchedBlockSize, LadderDepRatio))
 	acc := core.New(arch.DefaultConfig())
 	acc.LearnHotspots(e.Traces, 8)
 
@@ -42,7 +41,7 @@ func Ladder(env *Env) []LadderRow {
 	env.forEachPoint(len(modes), func(i int) {
 		m := modes[i]
 		res, err := acc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest, m,
-			core.ReplayOpts{NumPUs: LadderPUs, Genesis: env.Cache.Genesis(), Tel: env.Tel})
+			core.ReplayOpts{NumPUs: LadderPUs, Head: env.cache.head, Tel: env.Tel})
 		if err != nil {
 			panic(err)
 		}

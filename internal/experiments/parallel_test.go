@@ -39,7 +39,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 }
 
 // TestParallelTablesMatchSerial checks the remaining fanned-out
-// experiments point by point and on their rendered strings.
+// experiments point by point (and Table 9 on its rendered string). The
+// STM and BSE sweeps run at 8 workers here, which makes this the check
+// that their grid points share the cache's head and entries safely.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	serial, par := twoEnvs()
 
@@ -65,6 +67,16 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 	if !reflect.DeepEqual(f13s, f13p) {
 		t.Errorf("Fig13 differs: %+v vs %+v", f13s, f13p)
 	}
+
+	stmS, stmP := STMSweep(serial), STMSweep(par)
+	if !reflect.DeepEqual(stmS, stmP) {
+		t.Errorf("STMSweep differs: %+v vs %+v", stmS, stmP)
+	}
+
+	bseS, bseP := BSESweep(serial), BSESweep(par)
+	if !reflect.DeepEqual(bseS, bseP) {
+		t.Errorf("BSESweep differs: %+v vs %+v", bseS, bseP)
+	}
 }
 
 // TestCacheSharedAcrossExperiments checks that experiments replaying
@@ -72,9 +84,9 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 func TestCacheSharedAcrossExperiments(t *testing.T) {
 	env := NewEnv(DefaultSeed)
 	_ = Fig12(env) // Fig12BatchSize batches
-	_, miss0 := env.Cache.Stats()
+	_, miss0 := env.cache.Stats()
 	_ = Table7(env) // same batches, must all hit
-	hits, miss1 := env.Cache.Stats()
+	hits, miss1 := env.cache.Stats()
 	if miss1 != miss0 {
 		t.Errorf("Table7 rebuilt traces: misses %d -> %d", miss0, miss1)
 	}

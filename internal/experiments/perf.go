@@ -8,7 +8,6 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // PerfPoint is one host-side throughput measurement of the simulator hot
@@ -51,12 +50,12 @@ type perfCase struct {
 // core.ReplayWith of the entry's block under the mode — scheduling,
 // PU/pipeline replay and result assembly included, exactly what the
 // sweep experiments pay per grid point.
-func replayCase(name string, env *Env, spec tracecache.Spec, mode core.Mode, pus int) perfCase {
-	entry := env.Cache.Get(spec)
+func replayCase(name string, env *Env, spec workloadSpec, mode core.Mode, pus int) perfCase {
+	entry := env.cache.Get(spec)
 	acc := core.New(arch.DefaultConfig())
-	// Genesis is only read, and only by engines that re-execute
-	// functionally (NeedsGenesis), so it is safe to supply always.
-	opts := core.ReplayOpts{NumPUs: pus, Plans: entry.PlainPlans(), Genesis: env.Genesis, Tel: env.Tel}
+	// The head is only read, and only by engines that re-execute
+	// functionally (Block-STM), so it is safe to supply always.
+	opts := core.ReplayOpts{NumPUs: pus, Plans: entry.PlainPlans(), Head: env.cache.head, Tel: env.Tel}
 	return perfCase{
 		name: name,
 		txs:  len(entry.Block.Transactions),
@@ -93,16 +92,16 @@ func PerfSweepOnly(env *Env, only string) []PerfPoint {
 	}{
 		{"fig13/pipeline-batch", func() perfCase { return pipelineBatchCase(env) }},
 		{"fig14/st-dep0.3-4pu", func() perfCase {
-			return replayCase("fig14/st-dep0.3-4pu", env, tracecache.Token(SchedBlockSize, 0.3), core.ModeSpatialTemporal, 4)
+			return replayCase("fig14/st-dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeSpatialTemporal, 4)
 		}},
 		{"fig14/st-dep0.6-8pu", func() perfCase {
-			return replayCase("fig14/st-dep0.6-8pu", env, tracecache.Token(SchedBlockSize, 0.6), core.ModeSpatialTemporal, 8)
+			return replayCase("fig14/st-dep0.6-8pu", env, tokenSpec(SchedBlockSize, 0.6), core.ModeSpatialTemporal, 8)
 		}},
 		{"fig16/redundancy-dep0.3-4pu", func() perfCase {
-			return replayCase("fig16/redundancy-dep0.3-4pu", env, tracecache.Token(SchedBlockSize, 0.3), core.ModeSTRedundancy, 4)
+			return replayCase("fig16/redundancy-dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeSTRedundancy, 4)
 		}},
 		{"stm/dep0.3-4pu", func() perfCase {
-			return replayCase("stm/dep0.3-4pu", env, tracecache.Token(SchedBlockSize, 0.3), core.ModeBlockSTM, 4)
+			return replayCase("stm/dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeBlockSTM, 4)
 		}},
 	}
 	minWall := env.PerfWall
@@ -124,7 +123,7 @@ func PerfSweepOnly(env *Env, only string) []PerfPoint {
 // it, isolating the per-instruction replay cost.
 func pipelineBatchCase(env *Env) perfCase {
 	txs := 0
-	entries := make([]*tracecache.Entry, len(Top8Names))
+	entries := make([]*cacheEntry, len(Top8Names))
 	for i, name := range Top8Names {
 		entries[i] = env.batch(name, Fig13BatchSize)
 		txs += Fig13BatchSize

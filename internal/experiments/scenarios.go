@@ -92,7 +92,7 @@ func ScenarioSweep(env *Env) []ScenarioPoint {
 				}
 				digest := prep.DigestAt(head, b.Header.Coinbase)
 				res, err := acc.ReplayWith(b, prep.Traces, prep.Receipts, digest, m,
-					core.ReplayOpts{NumPUs: pt.pus, Genesis: head.DB(), Head: head, Tel: env.Tel})
+					core.ReplayOpts{NumPUs: pt.pus, Head: head, Tel: env.Tel})
 				if err != nil {
 					panic(err)
 				}

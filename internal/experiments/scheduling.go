@@ -7,7 +7,6 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // DepRatios is the dependent-transaction-ratio sweep of Figs. 14-16.
@@ -36,7 +35,7 @@ type SchedPoint struct {
 // grid point of that ratio can replay concurrently against it.
 type schedPrep struct {
 	once     sync.Once
-	entry    *tracecache.Entry
+	entry    *cacheEntry
 	acc      *core.Accelerator
 	base     uint64
 	achieved float64
@@ -44,7 +43,7 @@ type schedPrep struct {
 
 func (p *schedPrep) init(env *Env, target float64) {
 	p.once.Do(func() {
-		p.entry = env.Cache.Get(tracecache.Token(SchedBlockSize, target))
+		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
 		p.acc = core.New(arch.DefaultConfig())
 		p.acc.LearnHotspots(p.entry.Traces, 8)
 

@@ -8,7 +8,6 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
 	"mtpu/internal/obs"
-	"mtpu/internal/tracecache"
 )
 
 // STMDepRatios is the dependency-ratio grid of the optimistic-baseline
@@ -47,7 +46,7 @@ type STMPoint struct {
 // against it.
 type stmPrep struct {
 	once     sync.Once
-	entry    *tracecache.Entry
+	entry    *cacheEntry
 	acc      *core.Accelerator
 	base     uint64
 	achieved float64
@@ -55,7 +54,7 @@ type stmPrep struct {
 
 func (p *stmPrep) init(env *Env, target float64) {
 	p.once.Do(func() {
-		p.entry = env.Cache.Get(tracecache.Token(SchedBlockSize, target))
+		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
 		p.acc = core.New(arch.DefaultConfig())
 
 		baseRes, err := p.acc.ReplayWith(p.entry.Block, p.entry.Traces,
@@ -73,8 +72,9 @@ func (p *stmPrep) init(env *Env, target float64) {
 // synchronous and spatio-temporal schedulers over the dependency-ratio ×
 // PU-count grid. Grid points fan out over env.Workers; each point writes
 // only its own output slot, so the result is identical to the serial
-// sweep. The shared genesis is only read by the STM executor (it copies
-// before committing), so concurrent points are safe.
+// sweep. The STM executor only reads the cache's genesis head and prices
+// its write-set over it without committing, so concurrent points are
+// safe.
 func STMSweep(env *Env) []STMPoint {
 	preps := make([]stmPrep, len(STMDepRatios))
 	out := make([]STMPoint, len(STMDepRatios)*len(STMPUCounts))
@@ -101,7 +101,7 @@ func STMSweep(env *Env) []STMPoint {
 
 		syncRes := replay(core.ModeSynchronous, core.ReplayOpts{Tel: env.Tel})
 		stRes := replay(core.ModeSpatialTemporal, core.ReplayOpts{Tel: env.Tel})
-		stmRes := replay(core.ModeBlockSTM, core.ReplayOpts{Genesis: env.Cache.Genesis(), Tel: env.Tel})
+		stmRes := replay(core.ModeBlockSTM, core.ReplayOpts{Head: env.cache.head, Tel: env.Tel})
 
 		pt := STMPoint{
 			TargetRatio: target,

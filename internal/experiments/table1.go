@@ -5,7 +5,6 @@ import (
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/metrics"
-	"mtpu/internal/tracecache"
 )
 
 // Table1Row reproduces the execution-overhead row of Table 1: the share
@@ -36,7 +35,7 @@ func Table1(env *Env) []Table1Row {
 	rows := make([]Table1Row, len(table1Years))
 	env.forEachPoint(len(rows), func(i int) {
 		y := table1Years[i]
-		e := env.Cache.Get(tracecache.SCT(200, y.share))
+		e := env.cache.Get(sctSpec(200, y.share))
 		cfg := arch.ScalarConfig()
 		unit := pu.New(0, cfg)
 		mem := pipeline.FlatMem{Cfg: cfg}

@@ -36,11 +36,11 @@ func applied(base *state.StateDB, keys []state.AccessKey, vals []Value, coinbase
 	return st.Digest()
 }
 
-// pricers are the three kinds of snapshot a write-set is priced over:
-// a bare SnapshotOf (summed from scratch), a store's head and a pin.
+// pricers are the two kinds of snapshot a write-set is priced over: a
+// store's head and a pin.
 func pricers(base *state.StateDB) map[string]*Snapshot {
 	st := NewStore(base, nil)
-	return map[string]*Snapshot{"SnapshotOf": SnapshotOf(base), "Head": st.Head(), "Pin": st.Pin()}
+	return map[string]*Snapshot{"Head": st.Head(), "Pin": st.Pin()}
 }
 
 // TestDigestAfterMatchesAppliedDigest is the pricing contract: for every

@@ -30,12 +30,11 @@ import (
 	"mtpu/internal/uint256"
 )
 
-// Reader is the read-only state surface engines execute against: both
-// *state.StateDB and *Snapshot satisfy it, so the same View runs in
-// one-shot replays (bare genesis) and in the chained stream service
-// (store snapshots). It has no notion of account existence: an account
-// is what its nonce, balance, code and slots say, and every snapshot
-// resolves those exactly at its own height.
+// Reader is the read-only state surface a View resolves base reads
+// from: a *Snapshot everywhere outside this package's tests, which also
+// run views straight over a *state.StateDB. It has no notion of account
+// existence: an account is what its nonce, balance, code and slots say,
+// and every snapshot resolves those exactly at its own height.
 type Reader interface {
 	GetBalance(types.Address) *uint256.Int
 	GetNonce(types.Address) uint64
@@ -95,7 +94,7 @@ func NewStore(genesis *state.StateDB, tel *telemetry.Metrics) *Store {
 	base := genesis.Copy()
 	s := &Store{
 		base:   base,
-		head:   &Snapshot{db: base, acc: base.Accumulate(), summed: true},
+		head:   &Snapshot{db: base, acc: base.Accumulate()},
 		intern: make(map[state.AccessKey]KeyID),
 		pins:   make(map[uint64]int),
 		tel:    tel,
@@ -143,7 +142,9 @@ func (s *Store) HeadDigest() types.Hash { return s.Head().Digest() }
 // execute/commit path, where the caller has established (via WaitHeight
 // or channel ordering) that no Commit runs concurrently with its reads.
 // It carries the head's accumulator, so it prices digests in O(write-set).
-// Every caller at one height shares the one snapshot Commit built.
+// Every caller at one height shares the one snapshot Commit built. A
+// store that never commits is the one-shot form: its head is a frozen
+// genesis that any number of concurrent replays read and price over.
 func (s *Store) Head() *Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -165,7 +166,7 @@ func (s *Store) Pin() *Snapshot {
 	defer s.mu.Unlock()
 	h := s.head
 	s.pins[h.height]++
-	return &Snapshot{store: s, db: s.base, height: h.height, pinned: true, acc: h.acc, summed: true}
+	return &Snapshot{store: s, db: s.base, height: h.height, pinned: true, acc: h.acc}
 }
 
 func (s *Store) unpin(h uint64) {
@@ -279,7 +280,7 @@ func (s *Store) Commit(keys []state.AccessKey, vals []Value, coinbase types.Addr
 	// The head's setters journal; the fold is final, so drop the undo log
 	// instead of letting it grow with every block.
 	s.base.DiscardJournal()
-	s.head = &Snapshot{db: s.base, height: h, acc: acc, summed: true}
+	s.head = &Snapshot{db: s.base, height: h, acc: acc}
 
 	if s.tel != nil {
 		s.tel.MVStateCommits.Inc()
@@ -329,28 +330,21 @@ func (v *Value) word(k state.AccessKind) [32]byte {
 	return v.Word.Bytes32()
 }
 
-// Snapshot is a read-only view of the store at one height. A bare
-// snapshot (SnapshotOf, Store.Head) reads its StateDB directly with no
-// locking; a pinned snapshot (Store.Pin) resolves reads through the
-// version chains under the store's read lock so it stays consistent
-// while later blocks fold in concurrently. A store's snapshots carry
-// the digest accumulator at their height; SnapshotOf's has none.
+// Snapshot is a read-only view of the store at one height, carrying the
+// digest accumulator at that height. A head snapshot (Store.Head) reads
+// the head StateDB directly with no locking; a pinned snapshot
+// (Store.Pin) resolves reads through the version chains under the
+// store's read lock so it stays consistent while later blocks fold in
+// concurrently.
 type Snapshot struct {
-	store  *Store // nil for bare snapshots
+	store  *Store // nil for head snapshots
 	db     *state.StateDB
 	height uint64
 	pinned bool
 	acc    state.Accumulator
-	summed bool // acc is set
 }
 
-// SnapshotOf wraps a plain StateDB as a bare snapshot — the adapter
-// one-shot replay paths use to run engines against a frozen genesis
-// with zero locking overhead.
-func SnapshotOf(db *state.StateDB) *Snapshot { return &Snapshot{db: db} }
-
-// Height returns the store height the snapshot was taken at (0 for
-// bare snapshots of a genesis).
+// Height returns the store height the snapshot was taken at.
 func (sn *Snapshot) Height() uint64 { return sn.height }
 
 // DB returns the underlying StateDB. For pinned snapshots this is the
@@ -358,7 +352,7 @@ func (sn *Snapshot) Height() uint64 { return sn.height }
 // Reader methods instead.
 func (sn *Snapshot) DB() *state.StateDB { return sn.db }
 
-// Close releases a pinned snapshot's pin. Bare snapshots are a no-op.
+// Close releases a pinned snapshot's pin. Head snapshots are a no-op.
 func (sn *Snapshot) Close() {
 	if sn.pinned && sn.store != nil {
 		sn.store.unpin(sn.height)
@@ -367,12 +361,7 @@ func (sn *Snapshot) Close() {
 }
 
 // Digest is the snapshot's digest at its own height.
-func (sn *Snapshot) Digest() types.Hash {
-	if !sn.summed {
-		return sn.db.Digest()
-	}
-	return sn.acc.Digest()
-}
+func (sn *Snapshot) Digest() types.Hash { return sn.acc.Digest() }
 
 // DigestAfter prices a write-set on top of the snapshot without applying
 // it: the digest of the state after keys[i] takes vals[i] — a repeated
@@ -380,13 +369,9 @@ func (sn *Snapshot) Digest() types.Hash {
 // write-sets Block-STM commits — and the coinbase balance becomes the
 // snapshot's plus fee, replacing any write of it (write-sets carry none:
 // the carve-out). It is the snapshot's accumulator less each written
-// key's old element plus its new one, O(write-set) at any height; a
-// SnapshotOf snapshot has no accumulator and sums its state first.
+// key's old element plus its new one, O(write-set) at any height.
 func (sn *Snapshot) DigestAfter(keys []state.AccessKey, vals []Value, coinbase types.Address, fee *uint256.Int) types.Hash {
 	acc := sn.acc
-	if !sn.summed {
-		acc = sn.db.Accumulate()
-	}
 	if sn.store != nil {
 		sn.rlock()
 		defer sn.runlock()
@@ -452,7 +437,7 @@ func (sn *Snapshot) value(k state.AccessKey) Value {
 
 // at reads k at the snapshot's height: a pinned snapshot's from its
 // version chain, or from the head when no fold ever wrote it (the caller
-// holds the read lock); a bare snapshot's from its StateDB.
+// holds the read lock); a head snapshot's from its StateDB.
 func (sn *Snapshot) at(k state.AccessKey) Value {
 	if sn.store != nil {
 		if v, ok := sn.resolve(k); ok {

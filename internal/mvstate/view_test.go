@@ -35,7 +35,7 @@ func viewVsStateDB(t *testing.T, data []byte) {
 	genesis.DiscardJournal()
 
 	db := genesis.Copy()
-	view := NewOverlay(SnapshotOf(genesis), coinbase)
+	view := NewOverlay(NewStore(genesis, nil).Head(), coinbase)
 
 	// wrote models the write-set's order: a key enters at its first
 	// write and leaves when a revert undoes that write.

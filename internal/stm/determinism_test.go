@@ -24,6 +24,7 @@ func TestConcurrentExecutionsDeterministic(t *testing.T) {
 	}
 	cfg := Config{NumPUs: 4, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}
 
+	head := mvstate.NewStore(genesis, nil).Head()
 	const runs = 16
 	results := make([]*Result, runs)
 	errs := make([]error, runs)
@@ -32,7 +33,7 @@ func TestConcurrentExecutionsDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Execute(block, mvstate.SnapshotOf(genesis), cfg, fixedCost{100})
+			results[i], errs[i] = Execute(block, head, cfg, fixedCost{100})
 		}(i)
 	}
 	wg.Wait()

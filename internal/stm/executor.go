@@ -206,8 +206,8 @@ type executor struct {
 }
 
 // Execute runs the block optimistically against the (read-only) base
-// snapshot — a frozen genesis (mvstate.SnapshotOf) in one-shot replays
-// or the chained head (Store.Head) in server mode. The base is never
+// snapshot: the head of a store, which is a frozen genesis in one-shot
+// replays and the chained head in server mode. The base is never
 // mutated: the final write-set is priced over the base
 // (Snapshot.DigestAfter), and its digest returned for the
 // identical-to-sequential check.

@@ -17,8 +17,8 @@ type fixedCost struct{ c uint64 }
 func (f fixedCost) Dispatch(pu, tx int) uint64 { return f.c }
 
 // testBlock builds a workload block with its DAG and sequential golden
-// results.
-func testBlock(t *testing.T, build func(g *workload.Generator) *types.Block) (*state.StateDB, *types.Block, []*types.Receipt, types.Hash) {
+// results, and the genesis as a store head to execute it over.
+func testBlock(t *testing.T, build func(g *workload.Generator) *types.Block) (*mvstate.Snapshot, *types.Block, []*types.Receipt, types.Hash) {
 	t.Helper()
 	g := workload.NewGenerator(7, 1024)
 	genesis := g.Genesis()
@@ -31,7 +31,7 @@ func testBlock(t *testing.T, build func(g *workload.Generator) *types.Block) (*s
 	if err != nil {
 		t.Fatal(err)
 	}
-	return genesis, block, receipts, st.Digest()
+	return mvstate.NewStore(genesis, nil).Head(), block, receipts, st.Digest()
 }
 
 func matrix(t *testing.T) map[string]func(g *workload.Generator) *types.Block {
@@ -50,10 +50,10 @@ func matrix(t *testing.T) map[string]func(g *workload.Generator) *types.Block {
 func TestExecuteMatchesSequential(t *testing.T) {
 	for name, build := range matrix(t) {
 		t.Run(name, func(t *testing.T) {
-			genesis, block, receipts, digest := testBlock(t, build)
+			head, block, receipts, digest := testBlock(t, build)
 			for _, pus := range []int{1, 2, 4, 8} {
 				cfg := Config{NumPUs: pus, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}
-				res, err := Execute(block, mvstate.SnapshotOf(genesis), cfg, fixedCost{100})
+				res, err := Execute(block, head, cfg, fixedCost{100})
 				if err != nil {
 					t.Fatalf("pus=%d: %v", pus, err)
 				}
@@ -110,10 +110,10 @@ func checkInvariants(t *testing.T, block *types.Block, res *Result, pus int) {
 // TestIndependentBlockNoAborts: with dependency ratio 0 every transaction
 // commits its first incarnation.
 func TestIndependentBlockNoAborts(t *testing.T) {
-	genesis, block, _, digest := testBlock(t, func(g *workload.Generator) *types.Block {
+	head, block, _, digest := testBlock(t, func(g *workload.Generator) *types.Block {
 		return g.TokenBlock(64, 0)
 	})
-	res, err := Execute(block, mvstate.SnapshotOf(genesis), Config{NumPUs: 4, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}, fixedCost{100})
+	res, err := Execute(block, head, Config{NumPUs: 4, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}, fixedCost{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestIndependentBlockNoAborts(t *testing.T) {
 // discover conflicts at run time (that is the cost the consensus DAG
 // avoids).
 func TestDependentChainAborts(t *testing.T) {
-	genesis, block, _, digest := testBlock(t, func(g *workload.Generator) *types.Block {
+	head, block, _, digest := testBlock(t, func(g *workload.Generator) *types.Block {
 		return g.TokenBlock(64, 1.0)
 	})
-	res, err := Execute(block, mvstate.SnapshotOf(genesis), Config{NumPUs: 4, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}, fixedCost{100})
+	res, err := Execute(block, head, Config{NumPUs: 4, ScheduleOverhead: 4, ValidateBase: 8, ValidatePerKey: 2}, fixedCost{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDependentChainAborts(t *testing.T) {
 func TestExecuteEmptyBlock(t *testing.T) {
 	genesis := state.New()
 	block := types.NewBlock(types.BlockHeader{}, nil)
-	res, err := Execute(block, mvstate.SnapshotOf(genesis), Config{NumPUs: 2}, fixedCost{1})
+	res, err := Execute(block, mvstate.NewStore(genesis, nil).Head(), Config{NumPUs: 2}, fixedCost{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestExecuteEmptyBlock(t *testing.T) {
 func TestExecuteRejectsZeroPUs(t *testing.T) {
 	genesis := state.New()
 	block := types.NewBlock(types.BlockHeader{}, nil)
-	if _, err := Execute(block, mvstate.SnapshotOf(genesis), Config{NumPUs: 0}, fixedCost{1}); err == nil {
+	if _, err := Execute(block, mvstate.NewStore(genesis, nil).Head(), Config{NumPUs: 0}, fixedCost{1}); err == nil {
 		t.Fatal("expected error for NumPUs=0")
 	}
 }

@@ -390,7 +390,7 @@ func (s *Service) executeLoop() {
 		pre.digest = pre.prep.DigestAt(head, pre.block.Header.Coinbase)
 		pre.seq = folds
 		res, err := s.acc.ReplayWith(pre.block, pre.prep.Traces, pre.prep.Receipts, pre.digest, s.cfg.Mode,
-			core.ReplayOpts{Genesis: head.DB(), Head: head, Tel: s.tel})
+			core.ReplayOpts{Head: head, Tel: s.tel})
 		if err == nil && s.cfg.HotspotTopN > 0 {
 			s.acc.LearnHotspots(pre.prep.Traces, s.cfg.HotspotTopN)
 			learned = s.publishLearn(learned)
