@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mtpu-bench [-seed N] [-parallel N] [-stats] [-json FILE] {table2|table6|fig12|fig13|table7|fig14|fig15|fig16|table8|table9|chunking|ablation|stm|bse|ladder|scenarios|all}
+//	mtpu-bench [-seed N] [-parallel N] [-stats] [-json FILE] {table1|table2|table6|fig12|fig13|table7|fig14|fig15|fig16|table8|table9|chunking|ablation|stm|bse|scenarios|perf|all}
 //	mtpu-bench -validate FILE
 //
 // Sweep points fan out over -parallel worker goroutines; results are
@@ -222,15 +222,6 @@ func realMain() int {
 			return artifactResult{output: experiments.RenderBSE(bsePoints),
 				points: r.n, minSpd: r.min, maxSpd: r.max}
 		},
-		"ladder": func() artifactResult {
-			rows := experiments.Ladder(env)
-			var r spdRange
-			for _, row := range rows {
-				r.add(row.Speedup)
-			}
-			return artifactResult{output: experiments.RenderLadder(rows),
-				points: len(rows), minSpd: r.min, maxSpd: r.max}
-		},
 		"scenarios": func() artifactResult {
 			scenarioPoints = experiments.ScenarioSweep(env)
 			var r spdRange
@@ -338,7 +329,7 @@ func realMain() int {
 	}
 	order := []string{"table1", "table2", "table6", "fig12", "fig13", "table7",
 		"fig14", "fig15", "fig16", "table8", "table9", "chunking", "ablation", "stm", "bse",
-		"ladder", "scenarios", "perf"}
+		"scenarios", "perf"}
 
 	var names []string
 	if cmd == "all" {
@@ -744,7 +735,6 @@ ARTIFACT is one of:
   ablation  one-at-a-time design-choice ablations
   stm       optimistic (Block-STM) baseline vs DAG-driven scheduling
   bse       pre-scheduled batch-execute engine vs DAG-driven scheduling
-  ladder    every registered engine on the reference block
   scenarios mainnet-shaped Zipfian scenario chains (erc20-mix, dex,
             nft-mint, airdrop, oracle) on every engine at each PU count
   perf      simulator hot-loop throughput (host-side simulated-tx/s)

@@ -130,26 +130,33 @@ func CollectTracesOn(st *state.StateDB, block *types.Block) ([]*arch.TxTrace, []
 	return traces, receipts, st.Digest(), nil
 }
 
-// ExecuteChain processes consecutive blocks of a chain (committing each
-// to the evolving state) under the given mode. After each block the
-// accelerator learns hotspots from its traces — the offline optimization
-// the MTPU performs in the idle block interval (§2.2.4) — so later blocks
-// run with a warm Contract Table. The returned results are per block.
+// ExecuteChain processes consecutive blocks of a chain under the given
+// mode over one mvstate store seeded with a copy of genesis: each block
+// is decoded at the store's head (PrepareBlock), its digest priced there,
+// replayed with that head as the pre-block state, then folded in. After
+// each block the accelerator learns hotspots from its traces — the
+// offline optimization the MTPU performs in the idle block interval
+// (§2.2.4) — so later blocks run with a warm Contract Table. Each block's
+// DAG is rebuilt from the decode's access sets. The returned results are
+// per block.
 func (a *Accelerator) ExecuteChain(genesis *state.StateDB, blocks []*types.Block, mode Mode, hotspotTopN int) ([]*Result, error) {
-	st := genesis.Copy()
+	store := mvstate.NewStore(genesis, nil)
 	results := make([]*Result, len(blocks))
 	for i, block := range blocks {
-		traces, receipts, digest, err := CollectTracesOn(st, block)
+		head := store.Head()
+		prep, err := PrepareBlock(head, block)
 		if err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", i, err)
 		}
-		res, err := a.Replay(block, traces, receipts, digest, mode)
+		digest := prep.DigestAt(head, block.Header.Coinbase)
+		res, err := a.ReplayWith(block, prep.Traces, prep.Receipts, digest, mode, ReplayOpts{Head: head})
 		if err != nil {
 			return nil, fmt.Errorf("core: block %d: %w", i, err)
 		}
 		results[i] = res
 		// Block interval: profile this block's hotspots for the next one.
-		a.LearnHotspots(traces, hotspotTopN)
+		a.LearnHotspots(prep.Traces, hotspotTopN)
+		store.Commit(prep.WriteKeys, prep.WriteVals, block.Header.Coinbase, &prep.Fees)
 	}
 	return results, nil
 }
@@ -218,12 +225,13 @@ func topAddresses(counts map[types.Address]int, n int) []types.Address {
 
 // Execute runs the block under the given mode: functional execution for
 // receipts and state, then a timing replay through the scheduled MTPU.
+// It is a one-block ExecuteChain.
 func (a *Accelerator) Execute(genesis *state.StateDB, block *types.Block, mode Mode) (*Result, error) {
-	traces, receipts, digest, err := CollectTraces(genesis, block)
+	res, err := a.ExecuteChain(genesis, []*types.Block{block}, mode, 0)
 	if err != nil {
 		return nil, err
 	}
-	return a.Replay(block, traces, receipts, digest, mode)
+	return res[0], nil
 }
 
 // ReplayOpts adjusts one Replay call without touching the shared

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -322,6 +323,44 @@ func TestExecuteChainRejectsOutOfOrderBlocks(t *testing.T) {
 	// Executing block 2 before block 1 must fail on nonces.
 	if _, err := acc.ExecuteChain(genesis, []*types.Block{blocks[1], blocks[0]}, ModeScalar, 0); err == nil {
 		t.Fatal("out-of-order chain accepted")
+	}
+}
+
+// TestExecuteChainEveryEngine runs a chain under every registered
+// engine, Block-STM included (it needs the pre-block head), and holds
+// each block's receipts and digest to a sequential run over an evolving
+// copy of genesis. The small account pool makes later blocks depend on
+// the state earlier ones committed.
+func TestExecuteChainEveryEngine(t *testing.T) {
+	g := workload.NewGenerator(107, 64)
+	genesis := g.Genesis()
+	blocks := g.ChainBlocks(3, 40, 0.3)
+	if err := workload.BuildChainDAG(genesis, blocks); err != nil {
+		t.Fatal(err)
+	}
+	st := genesis.Copy()
+	wantReceipts := make([][]*types.Receipt, len(blocks))
+	wantDigests := make([]types.Hash, len(blocks))
+	for i, b := range blocks {
+		_, receipts, digest, err := CollectTracesOn(st, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantReceipts[i], wantDigests[i] = receipts, digest
+	}
+	for _, m := range engine.Modes() {
+		results, err := New(arch.DefaultConfig()).ExecuteChain(genesis, blocks, m, 8)
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		for i, res := range results {
+			if res.StateDigest != wantDigests[i] {
+				t.Errorf("%v block %d: digest %s, sequential %s", m, i, res.StateDigest, wantDigests[i])
+			}
+			if !reflect.DeepEqual(res.Receipts, wantReceipts[i]) {
+				t.Errorf("%v block %d: receipts differ from the sequential run", m, i)
+			}
+		}
 	}
 }
 

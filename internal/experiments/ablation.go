@@ -83,13 +83,7 @@ func Ablations(env *Env) []AblationRow {
 	e := env.cache.Get(tokenSpec(160, 0.3))
 
 	// Scalar reference is independent of the knobs under test.
-	scalarAcc := core.New(arch.DefaultConfig())
-	scalarRes, err := scalarAcc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-		core.ModeScalar, core.ReplayOpts{Plans: e.PlainPlans(), Tel: env.Tel})
-	if err != nil {
-		panic(err)
-	}
-	scalar := float64(scalarRes.Cycles)
+	scalar := float64(env.replay(e, core.ModeScalar, 1).Cycles)
 
 	specs := ablationSpecs()
 	rows := make([]AblationRow, len(specs))

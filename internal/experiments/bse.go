@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/engine"
 	"mtpu/internal/metrics"
@@ -39,76 +37,38 @@ type BSEPoint struct {
 	BSESpeedup  float64 `json:"bse_speedup"`
 }
 
-// bsePrep mirrors stmPrep: cached trace entry, accelerator, sequential
-// baseline and the precomputed batch count, built once per dep ratio.
-type bsePrep struct {
-	once     sync.Once
-	entry    *cacheEntry
-	acc      *core.Accelerator
-	base     uint64
-	achieved float64
-	batches  int
-}
-
-func (p *bsePrep) init(env *Env, target float64) {
-	p.once.Do(func() {
-		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
-		p.acc = core.New(arch.DefaultConfig())
-
-		baseRes, err := p.acc.ReplayWith(p.entry.Block, p.entry.Traces,
-			p.entry.Receipts, p.entry.Digest, core.ModeSequentialILP,
-			core.ReplayOpts{Plans: p.entry.PlainPlans(), Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
-		p.base = baseRes.Cycles
-		p.achieved = p.entry.Block.DAG.DependentRatio()
-		p.batches = len(engine.BSEBatches(p.entry.Block.DAG))
-	})
-}
-
 // BSESweep measures the pre-scheduled batch-execute engine over the same
 // dependency-ratio × PU-count grid as the optimistic sweep. Grid points
 // fan out over env.Workers; each point writes only its own output slot.
 func BSESweep(env *Env) []BSEPoint {
-	preps := make([]bsePrep, len(BSEDepRatios))
 	out := make([]BSEPoint, len(BSEDepRatios)*len(BSEPUCounts))
 	env.forEachPoint(len(out), func(i int) {
 		pi := i % len(BSEPUCounts)
 		ri := i / len(BSEPUCounts)
 		target, pus := BSEDepRatios[ri], BSEPUCounts[pi]
 
-		prep := &preps[ri]
-		prep.init(env, target)
-		e := prep.entry
-
-		replay := func(mode core.Mode) *core.Result {
-			res, err := prep.acc.ReplayWith(e.Block, e.Traces, e.Receipts,
-				e.Digest, mode, core.ReplayOpts{NumPUs: pus, Plans: e.PlainPlans(), Tel: env.Tel})
-			if err != nil {
-				panic(err)
-			}
-			env.record("bse/"+mode.String(), res.Pipeline, res.Cycles)
-			return res
+		e := env.cache.Get(tokenSpec(SchedBlockSize, target))
+		syncRes := env.replay(e, core.ModeSynchronous, pus)
+		stRes := env.replay(e, core.ModeSpatialTemporal, pus)
+		bseRes := env.replay(e, core.ModeBSE, pus)
+		for _, r := range []*core.Result{syncRes, stRes, bseRes} {
+			env.record("bse/"+r.Mode.String(), r.Pipeline, r.Cycles)
 		}
-
-		syncRes := replay(core.ModeSynchronous)
-		stRes := replay(core.ModeSpatialTemporal)
-		bseRes := replay(core.ModeBSE)
+		base := env.seqBaseline(e)
 
 		out[i] = BSEPoint{
 			TargetRatio: target,
-			DepRatio:    prep.achieved,
+			DepRatio:    e.Block.DAG.DependentRatio(),
 			PUs:         pus,
 			Txs:         len(e.Block.Transactions),
-			Batches:     prep.batches,
-			SeqCycles:   prep.base,
+			Batches:     len(engine.BSEBatches(e.Block.DAG)),
+			SeqCycles:   base,
 			SyncCycles:  syncRes.Cycles,
 			STCycles:    stRes.Cycles,
 			BSECycles:   bseRes.Cycles,
-			SyncSpeedup: float64(prep.base) / float64(syncRes.Cycles),
-			STSpeedup:   float64(prep.base) / float64(stRes.Cycles),
-			BSESpeedup:  float64(prep.base) / float64(bseRes.Cycles),
+			SyncSpeedup: float64(base) / float64(syncRes.Cycles),
+			STSpeedup:   float64(base) / float64(stRes.Cycles),
+			BSESpeedup:  float64(base) / float64(bseRes.Cycles),
 		}
 	})
 	return out

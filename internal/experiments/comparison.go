@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
 )
@@ -30,22 +29,8 @@ func Table8(env *Env) []Table8Row {
 	env.forEachPoint(len(rows), func(i int) {
 		share := ERC20Shares[i]
 		e := env.cache.Get(erc20Spec(CompareBlockSize, share))
-		plans := e.PlainPlans()
-
-		acc := core.New(arch.DefaultConfig())
-		acc.Cfg.NumPUs = 1
-		acc.LearnHotspots(e.Traces, 8)
-
-		scalarRes, err := acc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-			core.ModeScalar, core.ReplayOpts{NumPUs: 1, Plans: plans, Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
-		mtpuRes, err := acc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-			core.ModeSTHotspot, core.ReplayOpts{NumPUs: 1, Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
+		scalarRes := env.replay(e, core.ModeScalar, 1)
+		mtpuRes := env.replay(e, core.ModeSTHotspot, 1)
 
 		flags := erc20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
 		bpu := newBPU(1, e.Traces, flags)
@@ -96,23 +81,8 @@ func Table9(env *Env) []Table9Row {
 	env.forEachPoint(len(rows), func(i int) {
 		ratio := Table9Ratios[i]
 		e := env.cache.Get(mixedSpec(CompareBlockSize, ratio))
-		plans := e.PlainPlans()
-
-		acc := core.New(arch.DefaultConfig())
-		acc.Cfg.NumPUs = 4
-		acc.LearnHotspots(e.Traces, 8)
-
-		accScalar := core.New(arch.DefaultConfig())
-		scalarRes, err := accScalar.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-			core.ModeScalar, core.ReplayOpts{Plans: plans, Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
-		mtpuRes, err := acc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-			core.ModeSTHotspot, core.ReplayOpts{NumPUs: 4, Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
+		scalarRes := env.replay(e, core.ModeScalar, 1)
+		mtpuRes := env.replay(e, core.ModeSTHotspot, 4)
 
 		flags := erc20Flags(e.Block.Transactions, erc20Addrs, erc20Sels)
 		bpu := newBPU(4, e.Traces, flags)

@@ -6,12 +6,14 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
+	"mtpu/internal/core"
 	"mtpu/internal/telemetry"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
@@ -28,11 +30,11 @@ type Env struct {
 	Seed int64
 	Gen  *workload.Generator
 
-	// cache shares generated blocks, golden traces and plain plans
-	// between experiments (Fig. 14/15/16 sweep the same TokenBlock grid;
-	// Fig. 12 and Table 7 replay the same batches), and holds the
-	// genesis as the one store head every decode and Block-STM replay
-	// reads.
+	// cache shares generated blocks, golden traces, plain plans and
+	// replay contexts between experiments (Fig. 14/15/16, stm and bse
+	// sweep the same TokenBlock grid; Fig. 12 and Table 7 replay the
+	// same batches), and holds the genesis as the one store head every
+	// decode and Block-STM replay reads.
 	cache *traceCache
 
 	// Workers is the fan-out of the sweep experiments; <= 1 runs
@@ -79,6 +81,30 @@ func (e *Env) batch(name string, n int) *cacheEntry {
 // batchTraces collects golden traces for a same-contract batch.
 func (e *Env) batchTraces(name string, n int) []*arch.TxTrace {
 	return e.batch(name, n).Traces
+}
+
+// replay replays a cached entry under mode on pus PUs (<= 0 keeps the
+// default) through the entry's accelerator, with its shared plain plans
+// and the cache's genesis head. Each engine reads only what it needs —
+// the hotspot engine the learned table, Block-STM the head — so one
+// context serves every mode.
+func (e *Env) replay(entry *cacheEntry, mode core.Mode, pus int) *core.Result {
+	res, err := entry.accelerator().ReplayWith(entry.Block, entry.Traces, entry.Receipts, entry.Digest, mode,
+		core.ReplayOpts{NumPUs: pus, Plans: entry.PlainPlans(), Head: e.cache.head, Tel: e.Tel})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: replay %s: %v", mode, err))
+	}
+	return res
+}
+
+// seqBaseline is the entry's single-PU sequential-ILP cycle count — the
+// Fig. 14 baseline every scheduling sweep normalises to — replayed once
+// per entry.
+func (e *Env) seqBaseline(entry *cacheEntry) uint64 {
+	entry.baseOnce.Do(func() {
+		entry.base = e.replay(entry, core.ModeSequentialILP, 0).Cycles
+	})
+	return entry.base
 }
 
 // pipePool recycles pipelines between runPipeline calls so repeated

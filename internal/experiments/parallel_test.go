@@ -40,10 +40,16 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 // TestParallelTablesMatchSerial checks the remaining fanned-out
 // experiments point by point (and Table 9 on its rendered string). The
-// STM and BSE sweeps run at 8 workers here, which makes this the check
-// that their grid points share the cache's head and entries safely.
+// Table 8, STM and BSE sweeps run at 8 workers here, which makes this
+// the check that their points share the cache's head, entries and
+// entry-owned accelerators safely.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	serial, par := twoEnvs()
+
+	t8s, t8p := Table8(serial), Table8(par)
+	if !reflect.DeepEqual(t8s, t8p) {
+		t.Errorf("Table8 differs: %+v vs %+v", t8s, t8p)
+	}
 
 	t9s, t9p := Table9(serial), Table9(par)
 	if !reflect.DeepEqual(t9s, t9p) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -47,26 +46,15 @@ type perfCase struct {
 }
 
 // replayCase builds a full-replay perf case: one repetition is one
-// core.ReplayWith of the entry's block under the mode — scheduling,
+// Env.replay of the entry's block under the mode — scheduling,
 // PU/pipeline replay and result assembly included, exactly what the
 // sweep experiments pay per grid point.
 func replayCase(name string, env *Env, spec workloadSpec, mode core.Mode, pus int) perfCase {
 	entry := env.cache.Get(spec)
-	acc := core.New(arch.DefaultConfig())
-	// The head is only read, and only by engines that re-execute
-	// functionally (Block-STM), so it is safe to supply always.
-	opts := core.ReplayOpts{NumPUs: pus, Plans: entry.PlainPlans(), Head: env.cache.head, Tel: env.Tel}
 	return perfCase{
 		name: name,
 		txs:  len(entry.Block.Transactions),
-		run: func() uint64 {
-			res, err := acc.ReplayWith(entry.Block, entry.Traces, entry.Receipts,
-				entry.Digest, mode, opts)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: perf %s: %v", name, err))
-			}
-			return res.Instructions
-		},
+		run:  func() uint64 { return env.replay(entry, mode, pus).Instructions },
 	}
 }
 

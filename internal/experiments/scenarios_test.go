@@ -51,21 +51,3 @@ func TestScenarioSweepCoversGrid(t *testing.T) {
 		}
 	}
 }
-
-// TestScenarioSweepDeterministic: simulated cycles (and hence speedups)
-// must be identical across runs — the table is regenerable data, and
-// only the wall-clock tx/s column is allowed to vary.
-func TestScenarioSweepDeterministic(t *testing.T) {
-	a := ScenarioSweep(testEnv)
-	b := ScenarioSweep(testEnv)
-	if len(a) != len(b) {
-		t.Fatalf("%d vs %d points", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Cycles != b[i].Cycles || a[i].Speedup != b[i].Speedup {
-			t.Errorf("point %d (%s/%s pus %d): cycles %d/%.3f vs %d/%.3f",
-				i, a[i].Scenario, a[i].Engine, a[i].PUs,
-				a[i].Cycles, a[i].Speedup, b[i].Cycles, b[i].Speedup)
-		}
-	}
-}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
 )
@@ -29,42 +27,12 @@ type SchedPoint struct {
 	HitRatio    float64
 }
 
-// schedPrep is the shared per-ratio state of a sweep: the cached trace
-// entry, an accelerator with learned hotspots, and the sequential
-// baseline. Built once (on first demand) and then only read, so every
-// grid point of that ratio can replay concurrently against it.
-type schedPrep struct {
-	once     sync.Once
-	entry    *cacheEntry
-	acc      *core.Accelerator
-	base     uint64
-	achieved float64
-}
-
-func (p *schedPrep) init(env *Env, target float64) {
-	p.once.Do(func() {
-		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
-		p.acc = core.New(arch.DefaultConfig())
-		p.acc.LearnHotspots(p.entry.Traces, 8)
-
-		baseRes, err := p.acc.ReplayWith(p.entry.Block, p.entry.Traces,
-			p.entry.Receipts, p.entry.Digest, core.ModeSequentialILP,
-			core.ReplayOpts{Plans: p.entry.PlainPlans(), Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
-		p.base = baseRes.Cycles
-		p.achieved = p.entry.Block.DAG.DependentRatio()
-	})
-}
-
 // SchedulingSweep measures the given modes over the dependency-ratio ×
 // PU-count grid. The baseline is the sequential execution of one PU
 // (ModeSequentialILP), as in Fig. 14. Grid points fan out over
 // env.Workers; each point writes only its own output slot, so the
 // result is identical to the serial sweep.
 func SchedulingSweep(env *Env, modes []core.Mode, puCounts []int, ratios []float64) []SchedPoint {
-	preps := make([]schedPrep, len(ratios))
 	out := make([]SchedPoint, len(ratios)*len(modes)*len(puCounts))
 	env.forEachPoint(len(out), func(i int) {
 		pi := i % len(puCounts)
@@ -72,22 +40,15 @@ func SchedulingSweep(env *Env, modes []core.Mode, puCounts []int, ratios []float
 		ri := i / (len(puCounts) * len(modes))
 		target, mode, pus := ratios[ri], modes[mi], puCounts[pi]
 
-		prep := &preps[ri]
-		prep.init(env, target)
-		e := prep.entry
-
-		res, err := prep.acc.ReplayWith(e.Block, e.Traces, e.Receipts, e.Digest,
-			mode, core.ReplayOpts{NumPUs: pus, Plans: e.PlainPlans(), Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
+		e := env.cache.Get(tokenSpec(SchedBlockSize, target))
+		res := env.replay(e, mode, pus)
 		env.record("sched/"+mode.String(), res.Pipeline, res.Cycles)
 		out[i] = SchedPoint{
 			Mode:        mode,
-			DepRatio:    prep.achieved,
+			DepRatio:    e.Block.DAG.DependentRatio(),
 			TargetRatio: target,
 			PUs:         pus,
-			Speedup:     float64(prep.base) / float64(res.Cycles),
+			Speedup:     float64(env.seqBaseline(e)) / float64(res.Cycles),
 			Utilization: res.Utilization,
 			HitRatio:    res.Pipeline.HitRatio(),
 		}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
 	"mtpu/internal/obs"
@@ -40,34 +38,6 @@ type STMPoint struct {
 	Stats obs.STMStats `json:"stm"`
 }
 
-// stmPrep is the shared per-ratio state: the cached trace entry, an
-// accelerator, and the sequential baseline. Built once on first demand,
-// then only read, so every grid point of that ratio replays concurrently
-// against it.
-type stmPrep struct {
-	once     sync.Once
-	entry    *cacheEntry
-	acc      *core.Accelerator
-	base     uint64
-	achieved float64
-}
-
-func (p *stmPrep) init(env *Env, target float64) {
-	p.once.Do(func() {
-		p.entry = env.cache.Get(tokenSpec(SchedBlockSize, target))
-		p.acc = core.New(arch.DefaultConfig())
-
-		baseRes, err := p.acc.ReplayWith(p.entry.Block, p.entry.Traces,
-			p.entry.Receipts, p.entry.Digest, core.ModeSequentialILP,
-			core.ReplayOpts{Plans: p.entry.PlainPlans(), Tel: env.Tel})
-		if err != nil {
-			panic(err)
-		}
-		p.base = baseRes.Cycles
-		p.achieved = p.entry.Block.DAG.DependentRatio()
-	})
-}
-
 // STMSweep measures the optimistic Block-STM baseline against the
 // synchronous and spatio-temporal schedulers over the dependency-ratio ×
 // PU-count grid. Grid points fan out over env.Workers; each point writes
@@ -76,45 +46,33 @@ func (p *stmPrep) init(env *Env, target float64) {
 // its write-set over it without committing, so concurrent points are
 // safe.
 func STMSweep(env *Env) []STMPoint {
-	preps := make([]stmPrep, len(STMDepRatios))
 	out := make([]STMPoint, len(STMDepRatios)*len(STMPUCounts))
 	env.forEachPoint(len(out), func(i int) {
 		pi := i % len(STMPUCounts)
 		ri := i / len(STMPUCounts)
 		target, pus := STMDepRatios[ri], STMPUCounts[pi]
 
-		prep := &preps[ri]
-		prep.init(env, target)
-		e := prep.entry
-
-		replay := func(mode core.Mode, opts core.ReplayOpts) *core.Result {
-			opts.NumPUs = pus
-			opts.Plans = e.PlainPlans()
-			res, err := prep.acc.ReplayWith(e.Block, e.Traces, e.Receipts,
-				e.Digest, mode, opts)
-			if err != nil {
-				panic(err)
-			}
-			env.record("stm/"+mode.String(), res.Pipeline, res.Cycles)
-			return res
+		e := env.cache.Get(tokenSpec(SchedBlockSize, target))
+		syncRes := env.replay(e, core.ModeSynchronous, pus)
+		stRes := env.replay(e, core.ModeSpatialTemporal, pus)
+		stmRes := env.replay(e, core.ModeBlockSTM, pus)
+		for _, r := range []*core.Result{syncRes, stRes, stmRes} {
+			env.record("stm/"+r.Mode.String(), r.Pipeline, r.Cycles)
 		}
-
-		syncRes := replay(core.ModeSynchronous, core.ReplayOpts{Tel: env.Tel})
-		stRes := replay(core.ModeSpatialTemporal, core.ReplayOpts{Tel: env.Tel})
-		stmRes := replay(core.ModeBlockSTM, core.ReplayOpts{Head: env.cache.head, Tel: env.Tel})
+		base := env.seqBaseline(e)
 
 		pt := STMPoint{
 			TargetRatio: target,
-			DepRatio:    prep.achieved,
+			DepRatio:    e.Block.DAG.DependentRatio(),
 			PUs:         pus,
 			Txs:         len(e.Block.Transactions),
-			SeqCycles:   prep.base,
+			SeqCycles:   base,
 			SyncCycles:  syncRes.Cycles,
 			STCycles:    stRes.Cycles,
 			STMCycles:   stmRes.Cycles,
-			SyncSpeedup: float64(prep.base) / float64(syncRes.Cycles),
-			STSpeedup:   float64(prep.base) / float64(stRes.Cycles),
-			STMSpeedup:  float64(prep.base) / float64(stmRes.Cycles),
+			SyncSpeedup: float64(base) / float64(syncRes.Cycles),
+			STSpeedup:   float64(base) / float64(stRes.Cycles),
+			STMSpeedup:  float64(base) / float64(stmRes.Cycles),
 		}
 		if stmRes.STM != nil {
 			pt.Stats = *stmRes.STM

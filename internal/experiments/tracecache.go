@@ -16,8 +16,10 @@ import (
 
 // The trace cache memoizes the expensive, deterministic inputs the
 // sweeps share: the generated block with its conflict DAG, the golden
-// sequential traces and receipts, the post-block state digest, and the
-// per-transaction plain execution plans.
+// sequential traces and receipts, the post-block state digest, the
+// per-transaction plain execution plans, and the replay context — an
+// accelerator that learned the block's hotspots and the single-PU
+// sequential-ILP baseline (Env.replay, Env.seqBaseline).
 //
 // Every entry is keyed by the workload spec alone and built from a fresh
 // workload.Generator seeded with the cache's seed, so a spec maps to the
@@ -98,6 +100,12 @@ type cacheEntry struct {
 
 	plansOnce sync.Once
 	plans     []*pu.Plan
+
+	accOnce sync.Once
+	acc     *core.Accelerator
+
+	baseOnce sync.Once
+	base     uint64
 }
 
 // PlainPlans returns the unoptimized execution plan of every trace,
@@ -112,6 +120,18 @@ func (e *cacheEntry) PlainPlans() []*pu.Plan {
 		pu.AttachFillMemo(arch.DefaultConfig(), e.plans)
 	})
 	return e.plans
+}
+
+// accelerator returns the entry's replay context: a default-config
+// accelerator whose Contract Table learned the entry's own traces, built
+// once and then only read, so every sweep point replaying the entry
+// shares it concurrently. Only the hotspot engine reads the table.
+func (e *cacheEntry) accelerator() *core.Accelerator {
+	e.accOnce.Do(func() {
+		e.acc = core.New(arch.DefaultConfig())
+		e.acc.LearnHotspots(e.Traces, 8)
+	})
+	return e.acc
 }
 
 // traceCache memoizes entries per spec. Use newTraceCache.
