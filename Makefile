@@ -53,10 +53,15 @@ bench-selftest:
 	cd bench && $(GO) test ./...
 
 # Run a small instrumented workload, write the counter report, and
-# validate it against the JSON schema (strict decode + invariants).
+# validate it against the JSON schema (strict decode + invariants). The
+# second pass replays the scheduling grid, so the validator also checks
+# fresh grid rows and that each sched/<engine> counter counts one replay
+# per grid cell.
 stats-smoke:
 	$(GO) run ./cmd/mtpu-bench -stats -json bench_stats.json fig13
 	$(GO) run ./cmd/mtpu-bench -validate bench_stats.json
+	$(GO) run ./cmd/mtpu-bench -stats -json bench_grid.json baselines
+	$(GO) run ./cmd/mtpu-bench -validate bench_grid.json
 
 # Measure simulator hot-loop throughput (host tx/s), validate the fresh
 # artifact, and fail if any point regresses below the committed

@@ -130,67 +130,33 @@ func BenchmarkTable7_Finite2KCache(b *testing.B) {
 	b.ReportMetric(dspd*100, "speedup_delta_%")
 }
 
-// schedBench runs one scheduling-sweep point set and reports the range.
-func schedBench(b *testing.B, modes []core.Mode, report core.Mode) {
-	b.Helper()
+// BenchmarkSchedulingGrid regenerates Figs. 14-16 and the software
+// baselines from one reduced grid (4 PUs, dep 0/0.5/1.0): each engine's
+// speedup range — Fig. 16(b)'s hotspot engine is the headline result,
+// the paper reports 3.53x-16.19x across configurations — and the
+// spatio-temporal scheduler's mean utilization (Fig. 15).
+func BenchmarkSchedulingGrid(b *testing.B) {
 	e := benchEnv()
-	ratios := []float64{0, 0.5, 1.0}
-	var lo, hi float64
+	var pts []experiments.SchedPoint
 	for i := 0; i < b.N; i++ {
-		pts := experiments.SchedulingSweep(e, modes, []int{4}, ratios)
-		lo, hi = 1e18, 0
-		for _, p := range pts {
-			if p.Mode != report {
-				continue
-			}
-			if p.Speedup < lo {
-				lo = p.Speedup
-			}
-			if p.Speedup > hi {
-				hi = p.Speedup
-			}
-		}
+		pts = experiments.SchedulingSweep(e, []int{4}, []float64{0, 0.5, 1.0})
 	}
-	b.ReportMetric(lo, "min_speedup_x")
-	b.ReportMetric(hi, "max_speedup_x")
-}
-
-// BenchmarkFig14_Synchronous regenerates Fig. 14(a).
-func BenchmarkFig14_Synchronous(b *testing.B) {
-	schedBench(b, []core.Mode{core.ModeSynchronous}, core.ModeSynchronous)
-}
-
-// BenchmarkFig14_SpatialTemporal regenerates Fig. 14(b).
-func BenchmarkFig14_SpatialTemporal(b *testing.B) {
-	schedBench(b, []core.Mode{core.ModeSpatialTemporal}, core.ModeSpatialTemporal)
-}
-
-// BenchmarkFig15_Utilization regenerates Fig. 15 (PU utilization over
-// the dependency sweep).
-func BenchmarkFig15_Utilization(b *testing.B) {
-	e := benchEnv()
+	lo, hi := map[string]float64{}, map[string]float64{}
 	var util float64
-	for i := 0; i < b.N; i++ {
-		pts := experiments.SchedulingSweep(e,
-			[]core.Mode{core.ModeSpatialTemporal}, []int{4}, []float64{0, 0.5, 1.0})
-		util = 0
-		for _, p := range pts {
-			util += p.Utilization
+	for _, p := range pts {
+		for _, c := range p.Cells {
+			if l, ok := lo[c.Engine]; !ok || c.Speedup < l {
+				lo[c.Engine] = c.Speedup
+			}
+			hi[c.Engine] = max(hi[c.Engine], c.Speedup)
 		}
-		util /= float64(len(pts))
+		util += p.Cell(core.ModeSpatialTemporal).Utilization
 	}
-	b.ReportMetric(util*100, "avg_util_%")
-}
-
-// BenchmarkFig16_Redundancy regenerates Fig. 16(a).
-func BenchmarkFig16_Redundancy(b *testing.B) {
-	schedBench(b, []core.Mode{core.ModeSTRedundancy}, core.ModeSTRedundancy)
-}
-
-// BenchmarkFig16_Hotspot regenerates Fig. 16(b) — the headline result
-// (the paper reports 3.53x-16.19x across configurations).
-func BenchmarkFig16_Hotspot(b *testing.B) {
-	schedBench(b, []core.Mode{core.ModeSTHotspot}, core.ModeSTHotspot)
+	for name := range lo {
+		b.ReportMetric(lo[name], name+"_min_speedup_x")
+		b.ReportMetric(hi[name], name+"_max_speedup_x")
+	}
+	b.ReportMetric(util/float64(len(pts))*100, "st_avg_util_%")
 }
 
 // BenchmarkTable8_BPUvsMTPU_SingleCore regenerates Table 8.

@@ -4,15 +4,17 @@
 //
 // Usage:
 //
-//	mtpu-bench [-seed N] [-parallel N] [-stats] [-json FILE] {table1|table2|table6|fig12|fig13|table7|fig14|fig15|fig16|table8|table9|chunking|ablation|stm|bse|scenarios|perf|all}
+//	mtpu-bench [-seed N] [-parallel N] [-stats] [-json FILE] {table1|table2|table6|fig12|fig13|table7|fig14|fig15|fig16|table8|table9|chunking|ablation|baselines|scenarios|perf|all}
 //	mtpu-bench -validate FILE
 //
 // Sweep points fan out over -parallel worker goroutines; results are
 // byte-identical at every worker count (each point writes only its own
 // output slot, and blocks/traces come from a call-order-independent
-// cache). -json additionally writes a machine-readable wall-clock report;
-// -stats merges per-experiment counter snapshots into it and prints them;
-// -validate checks a previously written report against the schema.
+// cache). fig14, fig15, fig16 and baselines render one scheduling grid,
+// replayed once per run. -json additionally writes a machine-readable
+// wall-clock report; -stats merges per-experiment counter snapshots into
+// it and prints them; -validate checks a previously written report
+// against the schema.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"mtpu/internal/arch"
@@ -39,8 +42,10 @@ import (
 // batch-schedule-execute sweep rows ("bse"); v5 added the simulator
 // hot-loop throughput rows ("perf"); v6 added the build fingerprint
 // ("build": module version, VCS revision/time); v7 added the
-// mainnet-shaped scenario sweep rows ("scenarios").
-const reportSchema = 7
+// mainnet-shaped scenario sweep rows ("scenarios"); v8 replaced the
+// "stm" and "bse" rows with the scheduling grid's rows ("sched"), one
+// per (dep ratio, PU count) with a cell per engine replayed there.
+const reportSchema = 8
 
 // artifactResult is one experiment's rendering plus its sweep summary.
 type artifactResult struct {
@@ -79,11 +84,10 @@ type benchReport struct {
 	Experiments []experimentReport  `json:"experiments"`
 	Counters    []counterReport     `json:"counters,omitempty"`
 
-	// STM and BSE carry the optimistic-baseline and
-	// batch-schedule-execute sweep rows when those artifacts ran — the
-	// source data of the EXPERIMENTS.md sections.
-	STM []experiments.STMPoint `json:"stm,omitempty"`
-	BSE []experiments.BSEPoint `json:"bse,omitempty"`
+	// Sched carries the scheduling grid's rows when a grid artifact
+	// (fig14, fig15, fig16, baselines) ran — the source data of the
+	// EXPERIMENTS.md scheduling and software-baseline sections.
+	Sched []experiments.SchedPoint `json:"sched,omitempty"`
 	// Perf carries the simulator hot-loop throughput rows ("perf"
 	// artifact): host-side simulated-tx/s, the `make perf` regression
 	// gate's input. Unlike every other artifact these measure the
@@ -194,8 +198,11 @@ func realMain() int {
 	}
 
 	cmd := flag.Arg(0)
-	var stmPoints []experiments.STMPoint
-	var bsePoints []experiments.BSEPoint
+	var schedPoints []experiments.SchedPoint
+	grid := sync.OnceValue(func() []experiments.SchedPoint {
+		schedPoints = experiments.SchedulingSweep(env, experiments.SchedPUCounts, experiments.DepRatios)
+		return schedPoints
+	})
 	var perfPoints []experiments.PerfPoint
 	var scenarioPoints []experiments.ScenarioPoint
 	artifacts := map[string]func() artifactResult{
@@ -204,23 +211,9 @@ func realMain() int {
 			return artifactResult{output: experiments.RenderPerf(perfPoints),
 				points: len(perfPoints)}
 		},
-		"stm": func() artifactResult {
-			stmPoints = experiments.STMSweep(env)
-			var r spdRange
-			for _, p := range stmPoints {
-				r.add(p.STMSpeedup)
-			}
-			return artifactResult{output: experiments.RenderSTM(stmPoints),
-				points: r.n, minSpd: r.min, maxSpd: r.max}
-		},
-		"bse": func() artifactResult {
-			bsePoints = experiments.BSESweep(env)
-			var r spdRange
-			for _, p := range bsePoints {
-				r.add(p.BSESpeedup)
-			}
-			return artifactResult{output: experiments.RenderBSE(bsePoints),
-				points: r.n, minSpd: r.min, maxSpd: r.max}
+		"baselines": func() artifactResult {
+			pts := grid()
+			return schedResult("baselines", experiments.RenderBaselines(pts), pts)
 		},
 		"scenarios": func() artifactResult {
 			scenarioPoints = experiments.ScenarioSweep(env)
@@ -272,28 +265,28 @@ func realMain() int {
 				points: len(rows), minSpd: r.min, maxSpd: r.max}
 		},
 		"fig14": func() artifactResult {
-			pts := experiments.Fig14(env)
+			pts := grid()
 			out := experiments.RenderSchedPoints(
 				"Fig.14(a) — speedup, synchronous execution", pts, core.ModeSynchronous, "speedup") + "\n" +
 				experiments.RenderSchedPoints(
 					"Fig.14(b) — speedup, spatio-temporal scheduling", pts, core.ModeSpatialTemporal, "speedup")
-			return schedResult(out, pts)
+			return schedResult("fig14", out, pts)
 		},
 		"fig15": func() artifactResult {
-			pts := experiments.Fig14(env)
+			pts := grid()
 			out := experiments.RenderSchedPoints(
 				"Fig.15(a) — utilization, synchronous execution", pts, core.ModeSynchronous, "util") + "\n" +
 				experiments.RenderSchedPoints(
 					"Fig.15(b) — utilization, spatio-temporal scheduling", pts, core.ModeSpatialTemporal, "util")
-			return schedResult(out, pts)
+			return schedResult("fig15", out, pts)
 		},
 		"fig16": func() artifactResult {
-			pts := experiments.Fig16(env)
+			pts := grid()
 			out := experiments.RenderSchedPoints(
 				"Fig.16(a) — speedup, ST + redundancy optimization", pts, core.ModeSTRedundancy, "speedup") + "\n" +
 				experiments.RenderSchedPoints(
 					"Fig.16(b) — speedup, ST + redundancy + hotspot", pts, core.ModeSTHotspot, "speedup")
-			return schedResult(out, pts)
+			return schedResult("fig16", out, pts)
 		},
 		"table8": func() artifactResult {
 			rows := experiments.Table8(env)
@@ -328,7 +321,7 @@ func realMain() int {
 		},
 	}
 	order := []string{"table1", "table2", "table6", "fig12", "fig13", "table7",
-		"fig14", "fig15", "fig16", "table8", "table9", "chunking", "ablation", "stm", "bse",
+		"fig14", "fig15", "fig16", "table8", "table9", "chunking", "ablation", "baselines",
 		"scenarios", "perf"}
 
 	var names []string
@@ -364,8 +357,7 @@ func realMain() int {
 			MaxSpeedup: res.maxSpd,
 		})
 	}
-	report.STM = stmPoints
-	report.BSE = bsePoints
+	report.Sched = schedPoints
 	report.Perf = perfPoints
 	report.Scenarios = scenarioPoints
 	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
@@ -508,13 +500,12 @@ func checkReport(r *benchReport) error {
 			return fmt.Errorf("%s: negative wall_ms/points", e.Name)
 		}
 		// A report that claims a sweep artifact ran must carry its rows —
-		// this is what catches a schema bump (v4 added bse) without the
+		// this is what catches a schema bump (v8 added sched) without the
 		// checked-in file being regenerated.
-		if e.Name == "stm" && len(r.STM) != e.Points {
-			return fmt.Errorf("stm: %d rows for %d points", len(r.STM), e.Points)
-		}
-		if e.Name == "bse" && len(r.BSE) != e.Points {
-			return fmt.Errorf("bse: %d rows for %d points", len(r.BSE), e.Points)
+		if _, ok := gridArtifacts[e.Name]; ok {
+			if n := len(gridCells(e.Name, r.Sched)); n != e.Points {
+				return fmt.Errorf("%s: %d grid cells for %d points", e.Name, n, e.Points)
+			}
 		}
 		if e.Name == "perf" && len(r.Perf) != e.Points {
 			return fmt.Errorf("perf: %d rows for %d points", len(r.Perf), e.Points)
@@ -547,73 +538,73 @@ func checkReport(r *benchReport) error {
 			return fmt.Errorf("perf %s: negative instr_per_sec", p.Name)
 		}
 	}
-	for _, p := range r.STM {
+	cells := map[string]int{}
+	for _, p := range r.Sched {
+		at := fmt.Sprintf("sched ratio %.1f pus %d", p.TargetRatio, p.PUs)
 		if p.PUs < 1 || p.Txs < 1 {
-			return fmt.Errorf("stm ratio %.1f: bad grid point (pus=%d txs=%d)", p.TargetRatio, p.PUs, p.Txs)
+			return fmt.Errorf("%s: bad grid point (txs=%d)", at, p.Txs)
 		}
 		for _, v := range []struct {
 			name string
 			val  float64
 		}{
 			{"target_ratio", p.TargetRatio}, {"dep_ratio", p.DepRatio},
-			{"sync_speedup", p.SyncSpeedup}, {"st_speedup", p.STSpeedup}, {"stm_speedup", p.STMSpeedup},
 		} {
-			if err := finite(fmt.Sprintf("stm pus %d: %s", p.PUs, v.name), v.val); err != nil {
-				return err
-			}
-		}
-		if p.SyncSpeedup <= 0 || p.STSpeedup <= 0 || p.STMSpeedup <= 0 {
-			return fmt.Errorf("stm ratio %.1f pus %d: non-positive speedup", p.TargetRatio, p.PUs)
-		}
-		s := p.Stats
-		// Counter fields are signed in the schema, so a corrupted file can
-		// carry negatives the identity checks below would cancel out.
-		if s.Txs < 0 || s.Incarnations < 0 || s.Aborts < 0 || s.EstimateAborts < 0 ||
-			s.ValidationPasses < 0 || s.ValidationFails < 0 || s.EstimateWaits < 0 {
-			return fmt.Errorf("stm ratio %.1f pus %d: negative counter (%+v)", p.TargetRatio, p.PUs, s)
-		}
-		if s.Incarnations-s.Aborts != p.Txs {
-			return fmt.Errorf("stm ratio %.1f pus %d: incarnations %d - aborts %d != txs %d",
-				p.TargetRatio, p.PUs, s.Incarnations, s.Aborts, p.Txs)
-		}
-		if s.Aborts != s.EstimateAborts+s.ValidationFails {
-			return fmt.Errorf("stm ratio %.1f pus %d: aborts %d != estimate %d + validation %d",
-				p.TargetRatio, p.PUs, s.Aborts, s.EstimateAborts, s.ValidationFails)
-		}
-		if got := s.ExecCycles + s.ValidateCycles + s.IdleCycles; got != uint64(p.PUs)*p.STMCycles {
-			return fmt.Errorf("stm ratio %.1f pus %d: cycle terms %d != pus×makespan %d",
-				p.TargetRatio, p.PUs, got, uint64(p.PUs)*p.STMCycles)
-		}
-		if s.WastedCycles > s.ExecCycles {
-			return fmt.Errorf("stm ratio %.1f pus %d: wasted %d exceeds exec %d",
-				p.TargetRatio, p.PUs, s.WastedCycles, s.ExecCycles)
-		}
-	}
-	for _, p := range r.BSE {
-		if p.PUs < 1 || p.Txs < 1 {
-			return fmt.Errorf("bse ratio %.1f: bad grid point (pus=%d txs=%d)", p.TargetRatio, p.PUs, p.Txs)
-		}
-		for _, v := range []struct {
-			name string
-			val  float64
-		}{
-			{"target_ratio", p.TargetRatio}, {"dep_ratio", p.DepRatio},
-			{"sync_speedup", p.SyncSpeedup}, {"st_speedup", p.STSpeedup}, {"bse_speedup", p.BSESpeedup},
-		} {
-			if err := finite(fmt.Sprintf("bse pus %d: %s", p.PUs, v.name), v.val); err != nil {
+			if err := finite(at+": "+v.name, v.val); err != nil {
 				return err
 			}
 		}
 		if p.Batches < 1 || p.Batches > p.Txs {
-			return fmt.Errorf("bse ratio %.1f pus %d: %d batches for %d txs",
-				p.TargetRatio, p.PUs, p.Batches, p.Txs)
+			return fmt.Errorf("%s: %d batches for %d txs", at, p.Batches, p.Txs)
 		}
-		if p.SyncSpeedup <= 0 || p.STSpeedup <= 0 || p.BSESpeedup <= 0 {
-			return fmt.Errorf("bse ratio %.1f pus %d: non-positive speedup", p.TargetRatio, p.PUs)
+		cycles := map[string]uint64{}
+		for _, c := range p.Cells {
+			for _, v := range []struct {
+				name string
+				val  float64
+			}{
+				{"speedup", c.Speedup}, {"utilization", c.Utilization}, {"hit_ratio", c.HitRatio},
+			} {
+				if err := finite(fmt.Sprintf("%s %s: %s", at, c.Engine, v.name), v.val); err != nil {
+					return err
+				}
+			}
+			if c.Engine == "" || c.Cycles == 0 || c.Speedup <= 0 {
+				return fmt.Errorf("%s: empty or non-positive cell %+v", at, c)
+			}
+			cycles[c.Engine] = c.Cycles
+			cells[c.Engine]++
 		}
-		if p.BSECycles < p.STCycles {
-			return fmt.Errorf("bse ratio %.1f pus %d: barrier schedule %d cycles beat spatial-temporal %d",
-				p.TargetRatio, p.PUs, p.BSECycles, p.STCycles)
+		bse, st := cycles[core.ModeBSE.String()], cycles[core.ModeSpatialTemporal.String()]
+		if bse > 0 && st > 0 && bse < st {
+			return fmt.Errorf("%s: barrier schedule %d cycles beat spatial-temporal %d", at, bse, st)
+		}
+		makespan, ran := cycles[core.ModeBlockSTM.String()]
+		s := p.STM
+		if ran != (s != nil) {
+			return fmt.Errorf("%s: block-stm cell and stm counters must come together", at)
+		}
+		if s == nil {
+			continue
+		}
+		// Counter fields are signed in the schema, so a corrupted file can
+		// carry negatives the identity checks below would cancel out.
+		if s.Txs < 0 || s.Incarnations < 0 || s.Aborts < 0 || s.EstimateAborts < 0 ||
+			s.ValidationPasses < 0 || s.ValidationFails < 0 || s.EstimateWaits < 0 {
+			return fmt.Errorf("%s: negative counter (%+v)", at, *s)
+		}
+		if s.Incarnations-s.Aborts != p.Txs {
+			return fmt.Errorf("%s: incarnations %d - aborts %d != txs %d", at, s.Incarnations, s.Aborts, p.Txs)
+		}
+		if s.Aborts != s.EstimateAborts+s.ValidationFails {
+			return fmt.Errorf("%s: aborts %d != estimate %d + validation %d",
+				at, s.Aborts, s.EstimateAborts, s.ValidationFails)
+		}
+		if got := s.ExecCycles + s.ValidateCycles + s.IdleCycles; got != uint64(p.PUs)*makespan {
+			return fmt.Errorf("%s: cycle terms %d != pus×makespan %d", at, got, uint64(p.PUs)*makespan)
+		}
+		if s.WastedCycles > s.ExecCycles {
+			return fmt.Errorf("%s: wasted %d exceeds exec %d", at, s.WastedCycles, s.ExecCycles)
 		}
 	}
 	for _, p := range r.Scenarios {
@@ -645,6 +636,11 @@ func checkReport(r *benchReport) error {
 		}
 		if c.Points <= 0 {
 			return fmt.Errorf("%s: counter snapshot without points", c.Label)
+		}
+		// A grid counter records one replay per cell, so a grid replayed
+		// twice in one run shows as a doubled count.
+		if engine, ok := strings.CutPrefix(c.Label, "sched/"); ok && len(r.Sched) > 0 && c.Points != cells[engine] {
+			return fmt.Errorf("%s: %d points for %d grid cells", c.Label, c.Points, cells[engine])
 		}
 		if c.Cycles == 0 {
 			return fmt.Errorf("%s: counter snapshot without cycles", c.Label)
@@ -707,11 +703,35 @@ func gatePerf(baselinePath string, points []experiments.PerfPoint, minRatio floa
 	return nil
 }
 
-// schedResult summarizes a scheduling sweep's speedup range.
-func schedResult(out string, pts []experiments.SchedPoint) artifactResult {
-	var r spdRange
+// gridArtifacts names the engines whose grid cells each scheduling
+// artifact prints; its points and speedup range cover exactly those cells.
+var gridArtifacts = map[string][]core.Mode{
+	"fig14":     {core.ModeSynchronous, core.ModeSpatialTemporal},
+	"fig15":     {core.ModeSynchronous, core.ModeSpatialTemporal},
+	"fig16":     {core.ModeSTRedundancy, core.ModeSTHotspot},
+	"baselines": {core.ModeBlockSTM, core.ModeBSE},
+}
+
+// gridCells returns the cells of the artifact's engines in grid order.
+func gridCells(artifact string, pts []experiments.SchedPoint) []experiments.SchedCell {
+	var out []experiments.SchedCell
 	for _, p := range pts {
-		r.add(p.Speedup)
+		for _, c := range p.Cells {
+			for _, m := range gridArtifacts[artifact] {
+				if c.Engine == m.String() {
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// schedResult summarizes a grid artifact's speedup range over its cells.
+func schedResult(artifact, out string, pts []experiments.SchedPoint) artifactResult {
+	var r spdRange
+	for _, c := range gridCells(artifact, pts) {
+		r.add(c.Speedup)
 	}
 	return artifactResult{output: out, points: r.n, minSpd: r.min, maxSpd: r.max}
 }
@@ -733,8 +753,8 @@ ARTIFACT is one of:
   table9    BPU vs MTPU quad core (dependency sweep)
   chunking  hotspot chunking / pre-execution / prefetch report
   ablation  one-at-a-time design-choice ablations
-  stm       optimistic (Block-STM) baseline vs DAG-driven scheduling
-  bse       pre-scheduled batch-execute engine vs DAG-driven scheduling
+  baselines Block-STM and batch-schedule-execute vs DAG-driven
+            scheduling (the fig14-16 grid at 2/4/8 PUs x dep 0/.3/.6/1)
   scenarios mainnet-shaped Zipfian scenario chains (erc20-mix, dex,
             nft-mint, airdrop, oracle) on every engine at each PU count
   perf      simulator hot-loop throughput (host-side simulated-tx/s)

@@ -12,9 +12,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mtpu/internal/experiments"
 )
 
-// loadArtifact decodes the checked-in schema-4 artifact into a generic
+// loadArtifact decodes the checked-in sweep artifact into a generic
 // tree the corruption cases can edit before re-marshalling.
 func loadArtifact(t *testing.T) map[string]any {
 	t.Helper()
@@ -75,8 +77,16 @@ func TestValidateRejectsCorruptedArtifact(t *testing.T) {
 		wantMsg string
 	}{
 		{"negative stm counter", func(t *testing.T, doc map[string]any) {
-			row := firstRow(t, doc, "stm")
-			stats := row["stm"].(map[string]any)
+			var stats map[string]any
+			for _, row := range doc["sched"].([]any) {
+				if s, ok := row.(map[string]any)["stm"].(map[string]any); ok {
+					stats = s
+					break
+				}
+			}
+			if stats == nil {
+				t.Fatal("artifact has no sched row with stm counters")
+			}
 			// Shift both terms of the commit identity negative so only the
 			// sign check can object.
 			stats["incarnations"] = float64(-1)
@@ -133,9 +143,10 @@ func TestCheckReportRejectsNonFinite(t *testing.T) {
 		name    string
 		corrupt func(*benchReport)
 	}{
-		{"NaN stm speedup", func(r *benchReport) { r.STM[0].STMSpeedup = math.NaN() }},
-		{"+Inf bse speedup", func(r *benchReport) { r.BSE[0].BSESpeedup = math.Inf(1) }},
-		{"-Inf dep ratio", func(r *benchReport) { r.STM[0].DepRatio = math.Inf(-1) }},
+		{"NaN stm speedup", func(r *benchReport) { gridCell(t, r, "block-stm").Speedup = math.NaN() }},
+		{"+Inf bse speedup", func(r *benchReport) { gridCell(t, r, "batch-schedule-execute").Speedup = math.Inf(1) }},
+		{"NaN utilization", func(r *benchReport) { gridCell(t, r, "spatial-temporal").Utilization = math.NaN() }},
+		{"-Inf dep ratio", func(r *benchReport) { r.Sched[0].DepRatio = math.Inf(-1) }},
 		{"NaN wall_ms", func(r *benchReport) { r.Experiments[0].WallMS = math.NaN() }},
 		{"NaN total", func(r *benchReport) { r.TotalWallMS = math.NaN() }},
 	} {
@@ -150,6 +161,53 @@ func TestCheckReportRejectsNonFinite(t *testing.T) {
 				t.Errorf("error %q does not mention finiteness", err)
 			}
 		})
+	}
+}
+
+// gridCell returns the report's first grid cell of engine.
+func gridCell(t *testing.T, r *benchReport, engine string) *experiments.SchedCell {
+	t.Helper()
+	for i := range r.Sched {
+		for j := range r.Sched[i].Cells {
+			if c := &r.Sched[i].Cells[j]; c.Engine == engine {
+				return c
+			}
+		}
+	}
+	t.Fatalf("report has no %s cell", engine)
+	return nil
+}
+
+// TestCheckReportRejectsDoubledGridCounter: a sched/<engine> counter
+// records one replay per grid cell, so a run that replays the grid
+// twice — as fig15 once did by re-running Fig. 14's sweep — is
+// rejected, and the engine's true cell count is accepted.
+func TestCheckReportRejectsDoubledGridCounter(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sweeps.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		engine string
+		cells  int
+	}{
+		{"synchronous", 44}, {"spatial-temporal+redundancy+hotspot", 44}, {"block-stm", 12}, {"batch-schedule-execute", 12},
+	} {
+		for _, points := range []int{tc.cells, 2 * tc.cells} {
+			var r benchReport
+			if err := json.Unmarshal(data, &r); err != nil {
+				t.Fatal(err)
+			}
+			r.Counters = []counterReport{{Label: "sched/" + tc.engine,
+				Snapshot: experiments.Snapshot{Points: points, Cycles: 1}}}
+			err := checkReport(&r)
+			if points == tc.cells && err != nil {
+				t.Errorf("%s at its %d cells rejected: %v", tc.engine, points, err)
+			}
+			if points != tc.cells && (err == nil || !strings.Contains(err.Error(), "grid cells")) {
+				t.Errorf("%s at %d points for %d cells: err %v", tc.engine, points, tc.cells, err)
+			}
+		}
 	}
 }
 
@@ -275,19 +333,23 @@ func TestFirstDifference(t *testing.T) {
 	base := func() map[string]any {
 		return map[string]any{
 			"seed": 1.0, "total_wall_ms": 10.0, "build": map[string]any{"go_version": "go1"},
-			"stm": []any{map[string]any{"stm_cycles": 7.0, "wall_ms": 3.0}},
+			"sched": []any{map[string]any{"wall_ms": 3.0,
+				"cells": []any{map[string]any{"engine": "block-stm", "cycles": 7.0}}}},
 		}
+	}
+	cell := func(doc map[string]any) map[string]any {
+		return doc["sched"].([]any)[0].(map[string]any)["cells"].([]any)[0].(map[string]any)
 	}
 	host := base()
 	host["total_wall_ms"] = 99.0
 	host["build"] = "other"
-	host["stm"].([]any)[0].(map[string]any)["wall_ms"] = 4.0
+	host["sched"].([]any)[0].(map[string]any)["wall_ms"] = 4.0
 	if d := firstDifference(base(), host, ""); d != "" {
 		t.Fatalf("host-only change reported at %s", d)
 	}
 	moved := base()
-	moved["stm"].([]any)[0].(map[string]any)["stm_cycles"] = 8.0
-	if d := firstDifference(base(), moved, ""); d != ".stm[0].stm_cycles" {
+	cell(moved)["cycles"] = 8.0
+	if d := firstDifference(base(), moved, ""); d != ".sched[0].cells[0].cycles" {
 		t.Fatalf("moved cycle count reported at %q", d)
 	}
 	missing := base()
@@ -296,8 +358,8 @@ func TestFirstDifference(t *testing.T) {
 		t.Fatalf("missing field reported at %q", d)
 	}
 	shorter := base()
-	shorter["stm"] = []any{}
-	if d := firstDifference(base(), shorter, ""); d != ".stm" {
+	shorter["sched"] = []any{}
+	if d := firstDifference(base(), shorter, ""); d != ".sched" {
 		t.Fatalf("changed row count reported at %q", d)
 	}
 }

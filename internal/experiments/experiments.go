@@ -31,10 +31,10 @@ type Env struct {
 	Gen  *workload.Generator
 
 	// cache shares generated blocks, golden traces, plain plans and
-	// replay contexts between experiments (Fig. 14/15/16, stm and bse
-	// sweep the same TokenBlock grid; Fig. 12 and Table 7 replay the
-	// same batches), and holds the genesis as the one store head every
-	// decode and Block-STM replay reads.
+	// replay contexts between experiments (the scheduling grid and the
+	// perf sweep replay the same TokenBlocks; Fig. 12 and Table 7 replay
+	// the same batches), and holds the genesis as the one store head
+	// every decode and Block-STM replay reads.
 	cache *traceCache
 
 	// Workers is the fan-out of the sweep experiments; <= 1 runs

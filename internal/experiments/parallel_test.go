@@ -18,31 +18,44 @@ func twoEnvs() (*Env, *Env) {
 
 // TestParallelSweepMatchesSerial is the determinism invariant of the
 // experiment engine: the same sweep fanned out over workers must be
-// byte-identical to the serial run, down to float bit patterns.
+// byte-identical to the serial run, down to float bit patterns. The
+// grid reaches the baseline sub-grid, so all six scheduling engines run
+// at 8 workers here, which makes this the check that their points share
+// the cache's head, entries and entry-owned accelerators safely.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	serial, par := twoEnvs()
-	modes := []core.Mode{core.ModeSynchronous, core.ModeSTHotspot}
 	pus := []int{1, 4}
 	ratios := []float64{0, 0.5, 1.0}
 
-	want := SchedulingSweep(serial, modes, pus, ratios)
-	got := SchedulingSweep(par, modes, pus, ratios)
+	want := SchedulingSweep(serial, pus, ratios)
+	got := SchedulingSweep(par, pus, ratios)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("parallel sweep differs from serial:\nserial: %+v\nparallel: %+v", want, got)
 	}
+	engines := map[string]bool{}
+	for _, p := range got {
+		for _, c := range p.Cells {
+			engines[c.Engine] = true
+		}
+	}
+	if len(engines) != len(gridEngines)+len(baselineEngines) {
+		t.Errorf("sweep replayed %d engines (%v), want six", len(engines), engines)
+	}
 
-	wantStr := RenderSchedPoints("t", want, core.ModeSTHotspot, "speedup")
-	gotStr := RenderSchedPoints("t", got, core.ModeSTHotspot, "speedup")
-	if wantStr != gotStr {
-		t.Fatalf("rendered sweep differs:\n%s\nvs\n%s", wantStr, gotStr)
+	for _, render := range []func([]SchedPoint) string{
+		func(p []SchedPoint) string { return RenderSchedPoints("t", p, core.ModeSTHotspot, "speedup") },
+		RenderBaselines,
+	} {
+		if wantStr, gotStr := render(want), render(got); wantStr != gotStr {
+			t.Fatalf("rendered sweep differs:\n%s\nvs\n%s", wantStr, gotStr)
+		}
 	}
 }
 
 // TestParallelTablesMatchSerial checks the remaining fanned-out
 // experiments point by point (and Table 9 on its rendered string). The
-// Table 8, STM and BSE sweeps run at 8 workers here, which makes this
-// the check that their points share the cache's head, entries and
-// entry-owned accelerators safely.
+// Table 8 sweep runs at 8 workers here, which checks that its points
+// share the cache's entries and entry-owned accelerators safely.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	serial, par := twoEnvs()
 
@@ -72,16 +85,6 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 	f13s, f13p := Fig13(serial), Fig13(par)
 	if !reflect.DeepEqual(f13s, f13p) {
 		t.Errorf("Fig13 differs: %+v vs %+v", f13s, f13p)
-	}
-
-	stmS, stmP := STMSweep(serial), STMSweep(par)
-	if !reflect.DeepEqual(stmS, stmP) {
-		t.Errorf("STMSweep differs: %+v vs %+v", stmS, stmP)
-	}
-
-	bseS, bseP := BSESweep(serial), BSESweep(par)
-	if !reflect.DeepEqual(bseS, bseP) {
-		t.Errorf("BSESweep differs: %+v vs %+v", bseS, bseP)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mtpu/internal/arch/pipeline"
-	"mtpu/internal/core"
 )
 
 // TestStatsRecorderParallelMatchesSerial extends the determinism
@@ -17,15 +16,16 @@ func TestStatsRecorderParallelMatchesSerial(t *testing.T) {
 	serial.Stats = NewStatsRecorder()
 	par.Stats = NewStatsRecorder()
 
-	modes := []core.Mode{core.ModeSynchronous, core.ModeSTHotspot}
-	pus := []int{1, 4}
+	// Dep 0 and 1.0 on 4 PUs are on the baseline sub-grid, so all six
+	// scheduling engines record.
+	pus := []int{4}
 	ratios := []float64{0, 0.5, 1.0}
-	SchedulingSweep(serial, modes, pus, ratios)
-	SchedulingSweep(par, modes, pus, ratios)
+	SchedulingSweep(serial, pus, ratios)
+	SchedulingSweep(par, pus, ratios)
 
 	want, got := serial.Stats.Snapshots(), par.Stats.Snapshots()
-	if len(want) == 0 {
-		t.Fatal("serial sweep recorded no snapshots")
+	if len(want) != 6 {
+		t.Fatalf("serial sweep recorded %d labels, want one per scheduling engine: %v", len(want), serial.Stats.Labels())
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("parallel snapshots differ from serial:\nserial: %+v\nparallel: %+v", want, got)

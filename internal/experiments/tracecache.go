@@ -24,8 +24,8 @@ import (
 // Every entry is keyed by the workload spec alone and built from a fresh
 // workload.Generator seeded with the cache's seed, so a spec maps to the
 // same block no matter which experiment asks first or how many ask
-// concurrently — the property that lets Fig. 14/15/16 (which all sweep
-// the same TokenBlock grid) share one functional-EVM pass, and lets the
+// concurrently — the property that lets the scheduling grid and the perf
+// sweep share one functional-EVM pass per TokenBlock, and lets the
 // parallel sweep runner produce output byte-identical to the serial one.
 //
 // Each spec is decoded once, by core.PrepareBlock at the cache's head:
