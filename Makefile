@@ -8,8 +8,13 @@ all: build
 build:
 	$(GO) build ./...
 
+# go vet, then the formatting gate: fails when the toolchain's gofmt
+# would rewrite any file of the tree (the bench/ module included),
+# listing them.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$("$$($(GO) env GOROOT)/bin/gofmt" -l .)" || exit 1; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -334,7 +334,7 @@ func BenchmarkPURunWarm(b *testing.B) {
 // 256 accounts, with the genesis they chain from.
 func bigBlock(b *testing.B, blocks int) (*state.StateDB, []*types.Block) {
 	b.Helper()
-	src, err := workload.ScenarioSpec{Scenario: "erc20-mix", Blocks: blocks, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.Open()
+	src, err := workload.Spec{Kind: "erc20-mix", Blocks: blocks, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.OpenSource()
 	if err != nil {
 		b.Fatal(err)
 	}

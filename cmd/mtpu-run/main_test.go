@@ -49,3 +49,23 @@ func TestVersionExitsZero(t *testing.T) {
 		t.Fatalf("-version exited %d", code)
 	}
 }
+
+// TestDiffInvalidSpecExitsOne: -diff rejects a spec its generator
+// cannot honour with an error — account pools too small for the
+// voters of mixed and erc20 blocks used to divide by zero, and an
+// unknown batch contract used to pass validation — instead of a panic.
+func TestDiffInvalidSpecExitsOne(t *testing.T) {
+	for _, spec := range []string{
+		`{"workload":{"kind":"mixed","txs":8,"accounts":1}}`,
+		`{"workload":{"kind":"erc20","txs":8,"share":0.5,"accounts":1}}`,
+		`{"workload":{"kind":"batch","txs":4,"contract":"Nope"}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := runMain(t, "-mode", "scalar", "-diff", path); code != 1 {
+			t.Errorf("-diff %s exited %d, want 1", spec, code)
+		}
+	}
+}

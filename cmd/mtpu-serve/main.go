@@ -16,13 +16,14 @@
 //	mtpu-serve -addr :8573 [-unix PATH] [-genesis SPEC] [-mode NAME] ...
 //	mtpu-serve -version
 //
-// SPEC is a stream spec — `blocks=500,txs=64,dep=0.3,seed=1` — or a
-// mainnet-shaped scenario spec — `scenario=dex,blocks=500,txs=64,
-// skew=1.2,seed=1` — or the equivalent JSON of either. The -source form
-// replays the generated stream in-process, drains, prints the service
-// report and exits; with
-// `-mode all` it runs the stream through every registered engine in
-// turn. The -addr/-unix form serves until SIGINT/SIGTERM, then drains
+// SPEC is a chained workload spec (workload.ParseSpec): the token-chain
+// shorthand `blocks=500,txs=64,dep=0.3,seed=1`, the mainnet-shaped
+// scenario shorthand `scenario=dex,blocks=500,txs=64,skew=1.2,seed=1`,
+// or the JSON of a workload.Spec with blocks >= 1, e.g.
+// `{"kind":"dex","blocks":500,"txs":64,"skew":1.2,"seed":1}`. The
+// -source form replays the generated stream in-process, drains, prints
+// the service report and exits; with `-mode all` it runs the stream
+// through every registered engine in turn. The -addr/-unix form serves until SIGINT/SIGTERM, then drains
 // gracefully; its genesis state derives from -genesis so producers
 // using the same spec seed generate compatible blocks.
 package main
@@ -61,11 +62,11 @@ func realMain(args []string) int {
 	shadowLog := fs.Bool("shadow-log", false, "log shadow-validation mismatches and keep serving instead of halting")
 	verifyChain := fs.Bool("verify-chain", false, "recompute the head-state digest after every fold and halt on digest-continuity mismatch (full-state hashing per block; CI/debugging)")
 	hotspotTop := fs.Int("hotspot-top", 8, "hot contracts learned into the Contract Table after each block (0 disables)")
-	source := fs.String("source", "", fmt.Sprintf("replay a generated block stream in-process (stream spec, e.g. blocks=500,txs=64,dep=0.3,seed=1, or scenario spec, e.g. scenario=dex,blocks=500,txs=64,skew=1.2,seed=1; scenarios: %s)",
+	source := fs.String("source", "", fmt.Sprintf("replay a generated block stream in-process (chained workload spec: token chain, e.g. blocks=500,txs=64,dep=0.3,seed=1, scenario, e.g. scenario=dex,blocks=500,txs=64,skew=1.2,seed=1, or the JSON of either; scenarios: %s)",
 		strings.Join(workload.Scenarios, ", ")))
 	addr := fs.String("addr", "", "serve block ingest over HTTP on this TCP address")
 	unixPath := fs.String("unix", "", "serve block ingest on this unix socket path")
-	genesisSpec := fs.String("genesis", "blocks=1,txs=64,seed=1", "stream or scenario spec the server's genesis state derives from (network mode; seed/txs/accounts size the account pool)")
+	genesisSpec := fs.String("genesis", "blocks=1,txs=64,seed=1", "chained workload spec the server's genesis state derives from, in -source's grammar (network mode; seed/txs/accounts size the account pool)")
 	ledgerPath := fs.String("ledger", "", "append a JSONL run-ledger entry (env fingerprint + per-engine throughput + telemetry) to this file")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live metrics (Prometheus text, expvar, pprof) on this address while running")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -122,12 +123,11 @@ func realMain(args []string) int {
 
 	// The source stream (when given) also supplies the genesis; a pure
 	// network server derives genesis from -genesis so block producers
-	// seeded identically stay compatible. Either flag accepts a stream
-	// spec or a Zipfian scenario spec, dispatched on the scenario key.
-	var src workload.BlockSource
-	spec, err := workload.ParseSourceSpec(*genesisSpec)
+	// seeded identically stay compatible. Either flag accepts the token
+	// chain or a Zipfian scenario.
+	spec, err := workload.ParseSpec(*genesisSpec)
 	if *source != "" {
-		spec, err = workload.ParseSourceSpec(*source)
+		spec, err = workload.ParseSpec(*source)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
@@ -150,7 +150,7 @@ func realMain(args []string) int {
 	for _, m := range modes {
 		// A fresh stream per engine: -source replays its blocks, a pure
 		// network server only takes the genesis from it.
-		src, err = spec.OpenSource()
+		src, err := spec.OpenSource()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
 			return 2
@@ -204,7 +204,7 @@ func realMain(args []string) int {
 // serveOne runs one service lifetime: start the pipeline, optionally
 // start the listeners, feed the in-process source, drain on exhaustion
 // or signal, and return the report.
-func serveOne(cfg stream.Config, src workload.BlockSource, replay bool, addr, unixPath string) (*stream.Report, error) {
+func serveOne(cfg stream.Config, src *workload.Stream, replay bool, addr, unixPath string) (*stream.Report, error) {
 	svc, err := stream.New(cfg)
 	if err != nil {
 		return nil, err

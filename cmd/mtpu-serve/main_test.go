@@ -106,13 +106,22 @@ func TestScenarioSourceRunWritesLedger(t *testing.T) {
 	}
 }
 
-// TestBadScenarioSpecExitsTwo: scenario spec validation reaches the CLI.
+// TestBadScenarioSpecExitsTwo: scenario spec validation reaches the CLI,
+// including the account-pool floors of the scenarios that draw fixed
+// roles from the pool's tail (a smaller pool used to index before the
+// pool and panic).
 func TestBadScenarioSpecExitsTwo(t *testing.T) {
-	if code := realMain([]string{"-source", "scenario=bogus"}); code != 2 {
-		t.Fatalf("unknown scenario exited %d, want 2", code)
-	}
-	if code := realMain([]string{"-source", "scenario=dex,skew=NaN"}); code != 2 {
-		t.Fatalf("NaN skew exited %d, want 2", code)
+	for _, src := range []string{
+		"scenario=bogus",
+		"scenario=dex,skew=NaN",
+		"scenario=airdrop,blocks=2,txs=8,accounts=5",
+		"scenario=oracle,blocks=2,txs=64,accounts=4",
+		`{"kind":"oracle","blocks":2,"txs":64,"accounts":4}`,
+		`{"kind":"mixed","txs":8}`, // a single block is not a stream
+	} {
+		if code := realMain([]string{"-source", src, "-mode", "scalar"}); code != 2 {
+			t.Errorf("-source %s exited %d, want 2", src, code)
+		}
 	}
 }
 

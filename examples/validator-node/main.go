@@ -13,6 +13,7 @@ import (
 
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
+	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
 
@@ -21,9 +22,15 @@ func main() {
 		numBlocks   = 6
 		txsPerBlock = 128
 	)
-	gen := workload.NewGenerator(2024, 8192)
-	genesis := gen.Genesis()
-	blocks := gen.ChainBlocks(numBlocks, txsPerBlock, 0.3)
+	src, err := workload.Spec{Kind: "token", Blocks: numBlocks, Txs: txsPerBlock, Dep: 0.3, Seed: 2024, Accounts: 8192}.OpenSource()
+	if err != nil {
+		log.Fatal(err)
+	}
+	genesis := src.Genesis()
+	var blocks []*types.Block
+	for b, ok := src.Next(); ok; b, ok = src.Next() {
+		blocks = append(blocks, b)
+	}
 	if err := workload.BuildChainDAG(genesis, blocks); err != nil {
 		log.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestPURunWarmZeroAllocs(t *testing.T) {
 // bytes of one copy of the block's steps — plain plans share their
 // traces' steps.
 func TestPlainPlansAllocateNoStepCopy(t *testing.T) {
-	src, err := workload.ScenarioSpec{Scenario: "erc20-mix", Blocks: 1, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.Open()
+	src, err := workload.Spec{Kind: "erc20-mix", Blocks: 1, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.OpenSource()
 	if err != nil {
 		t.Fatal(err)
 	}

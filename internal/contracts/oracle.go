@@ -41,15 +41,15 @@ func NewPriceOracle() *Contract {
 	c.Arg(1) // [price]
 	c.Op(evm.ISZERO, evm.ISZERO)
 	c.Require()
-	c.Arg(1)                     // [price]
-	c.Arg(0)                     // [feed, price]
-	c.MapSlot(slotOraclePrices)  // [slot, price]
-	c.Op(evm.SSTORE)             // []
-	c.Arg(0)                     // [feed]
-	c.MapSlot(slotOracleRounds)  // [slot]
-	c.Op(evm.DUP1, evm.SLOAD)    // [round, slot]
-	c.PushInt(1).Op(evm.ADD)     // [round+1, slot]
-	c.Op(evm.SWAP1, evm.SSTORE)  // []
+	c.Arg(1)                    // [price]
+	c.Arg(0)                    // [feed, price]
+	c.MapSlot(slotOraclePrices) // [slot, price]
+	c.Op(evm.SSTORE)            // []
+	c.Arg(0)                    // [feed]
+	c.MapSlot(slotOracleRounds) // [slot]
+	c.Op(evm.DUP1, evm.SLOAD)   // [round, slot]
+	c.PushInt(1).Op(evm.ADD)    // [round+1, slot]
+	c.Op(evm.SWAP1, evm.SSTORE) // []
 	c.Stop()
 
 	// consume(uint256 feed) → price: requires a live feed (price != 0),

@@ -22,6 +22,24 @@ func buildBlock(t *testing.T, seed int64, n int, depRatio float64) (*state.State
 	return genesis, block
 }
 
+// tokenChain opens a token chain and returns its genesis and blocks,
+// conflict DAGs built.
+func tokenChain(t *testing.T, spec workload.Spec) (*state.StateDB, []*types.Block) {
+	t.Helper()
+	src, err := spec.OpenSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []*types.Block
+	for b, ok := src.Next(); ok; b, ok = src.Next() {
+		blocks = append(blocks, b)
+	}
+	if err := workload.BuildChainDAG(src.Genesis(), blocks); err != nil {
+		t.Fatal(err)
+	}
+	return src.Genesis(), blocks
+}
+
 // headOf is genesis as the store snapshot one-shot replays and schedule
 // checks read.
 func headOf(genesis *state.StateDB) *mvstate.Snapshot {

@@ -18,7 +18,7 @@ import (
 // sequential replay: no missing edge, no spurious one.
 func TestPrepareBlockDAGMatchesReplayConflicts(t *testing.T) {
 	for _, name := range workload.Scenarios {
-		src, err := workload.ScenarioSpec{Scenario: name, Blocks: 4, Txs: 40, Skew: 1.2, Seed: 23}.Open()
+		src, err := workload.Spec{Kind: name, Blocks: 4, Txs: 40, Skew: 1.2, Seed: 23}.OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestPrepareBlockDAGMatchesReplayConflicts(t *testing.T) {
 // storage or state-query step carrying a TouchID.
 func TestDecodedTracesAreInterned(t *testing.T) {
 	for _, name := range workload.Scenarios {
-		src, err := workload.ScenarioSpec{Scenario: name, Blocks: 1, Txs: 40, Skew: 1.2, Seed: 29}.Open()
+		src, err := workload.Spec{Kind: name, Blocks: 1, Txs: 40, Skew: 1.2, Seed: 29}.OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}

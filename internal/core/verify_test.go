@@ -273,12 +273,7 @@ func TestHotspotTableGeneralizesAcrossBlocks(t *testing.T) {
 }
 
 func TestExecuteChainLearnsAcrossBlocks(t *testing.T) {
-	g := workload.NewGenerator(101, 8192)
-	genesis := g.Genesis()
-	blocks := g.ChainBlocks(4, 96, 0.3)
-	if err := workload.BuildChainDAG(genesis, blocks); err != nil {
-		t.Fatal(err)
-	}
+	genesis, blocks := tokenChain(t, workload.Spec{Kind: "token", Blocks: 4, Txs: 96, Dep: 0.3, Seed: 101, Accounts: 8192})
 
 	acc := New(arch.DefaultConfig())
 	results, err := acc.ExecuteChain(genesis, blocks, ModeSTHotspot, 8)
@@ -313,12 +308,7 @@ func TestExecuteChainLearnsAcrossBlocks(t *testing.T) {
 func TestExecuteChainRejectsOutOfOrderBlocks(t *testing.T) {
 	// A small account pool forces sender reuse across the two blocks, so
 	// block 2 carries nonces that only exist after block 1 commits.
-	g := workload.NewGenerator(103, 50)
-	genesis := g.Genesis()
-	blocks := g.ChainBlocks(2, 40, 0)
-	if err := workload.BuildChainDAG(genesis, blocks); err != nil {
-		t.Fatal(err)
-	}
+	genesis, blocks := tokenChain(t, workload.Spec{Kind: "token", Blocks: 2, Txs: 40, Seed: 103, Accounts: 50})
 	acc := New(arch.DefaultConfig())
 	// Executing block 2 before block 1 must fail on nonces.
 	if _, err := acc.ExecuteChain(genesis, []*types.Block{blocks[1], blocks[0]}, ModeScalar, 0); err == nil {
@@ -332,12 +322,7 @@ func TestExecuteChainRejectsOutOfOrderBlocks(t *testing.T) {
 // copy of genesis. The small account pool makes later blocks depend on
 // the state earlier ones committed.
 func TestExecuteChainEveryEngine(t *testing.T) {
-	g := workload.NewGenerator(107, 64)
-	genesis := g.Genesis()
-	blocks := g.ChainBlocks(3, 40, 0.3)
-	if err := workload.BuildChainDAG(genesis, blocks); err != nil {
-		t.Fatal(err)
-	}
+	genesis, blocks := tokenChain(t, workload.Spec{Kind: "token", Blocks: 3, Txs: 40, Dep: 0.3, Seed: 107, Accounts: 64})
 	st := genesis.Copy()
 	wantReceipts := make([][]*types.Receipt, len(blocks))
 	wantDigests := make([]types.Hash, len(blocks))

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"mtpu/internal/workload"
 )
 
 // Reproducer is the corpus file format: a shrunk failing spec plus the
@@ -76,14 +78,27 @@ func (h *Harness) WriteReproducer(dir string, f Failure) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	// Label/Seed cover every spec form — a stream or scenario reproducer
-	// previously collapsed to the empty kind and seed 0.
-	name := fmt.Sprintf("diff-%s-%s-%d.json", sanitize(f.Engine), sanitize(shrunk.Label()), shrunk.Seed())
+	name := fmt.Sprintf("diff-%s-%s-%d.json", sanitize(f.Engine), sanitize(label(shrunk.Workload)), shrunk.Workload.Seed)
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil
+}
+
+// label names a workload in reproducer file names and grid subtests:
+// its kind for a single block, "stream" for the token chain and
+// "scenario-<kind>" for a scenario, so a chain never shares a name with
+// a single block of the same kind and seed.
+func label(w workload.Spec) string {
+	switch {
+	case w.Blocks == 0:
+		return w.Kind
+	case w.Kind == "token":
+		return "stream"
+	default:
+		return "scenario-" + w.Kind
+	}
 }
 
 func sanitize(name string) string {

@@ -30,17 +30,11 @@ import (
 // architectural dimensions the sweep varies. The zero value of every
 // dimension means "the Table 5 default", so corpus files stay terse.
 type Spec struct {
+	// Workload is the recipe. A chained one (Blocks >= 1) is replayed
+	// whole per engine over an mvstate store (each block against its
+	// predecessor's post-state), every per-block chained digest checked
+	// against one sequential whole-stream replay.
 	Workload workload.Spec `json:"workload"`
-	// Stream, when non-nil, makes this a chained multi-block spec:
-	// the harness replays the whole block chain per engine over an
-	// mvstate store (each block against its predecessor's post-state)
-	// and checks every per-block chained digest against one sequential
-	// whole-stream replay. Mutually exclusive with Workload.
-	Stream *workload.StreamSpec `json:"stream,omitempty"`
-	// Scenario, when non-nil, makes this a chained multi-block spec over
-	// one of the mainnet-shaped Zipfian scenario streams, replayed
-	// exactly like Stream. Mutually exclusive with Workload and Stream.
-	Scenario *workload.ScenarioSpec `json:"scenario,omitempty"`
 	// PUs overrides arch.Config.NumPUs (0 = default).
 	PUs int `json:"pus,omitempty"`
 	// Window overrides the candidate window m (0 = default; engines that
@@ -58,27 +52,8 @@ type Spec struct {
 
 // Validate rejects specs outside the model's dimension ranges.
 func (s Spec) Validate() error {
-	switch {
-	case s.Stream != nil && s.Scenario != nil:
-		return fmt.Errorf("difftest: spec has both a stream and a scenario")
-	case s.Stream != nil:
-		if s.Workload.Kind != "" {
-			return fmt.Errorf("difftest: spec has both a stream and a %q workload", s.Workload.Kind)
-		}
-		if err := s.Stream.Validate(); err != nil {
-			return err
-		}
-	case s.Scenario != nil:
-		if s.Workload.Kind != "" {
-			return fmt.Errorf("difftest: spec has both a scenario and a %q workload", s.Workload.Kind)
-		}
-		if err := s.Scenario.Validate(); err != nil {
-			return err
-		}
-	default:
-		if err := s.Workload.Validate(); err != nil {
-			return err
-		}
+	if err := s.Workload.Validate(); err != nil {
+		return err
 	}
 	if s.PUs < 0 {
 		return fmt.Errorf("difftest: negative PU count %d", s.PUs)
@@ -124,31 +99,6 @@ func (s Spec) topN() int {
 		return s.HotspotTopN
 	}
 	return 8
-}
-
-// Label names the spec's workload shape for test names and reproducer
-// files: the scenario name, "stream", or the single-block workload kind.
-func (s Spec) Label() string {
-	switch {
-	case s.Scenario != nil:
-		return "scenario-" + s.Scenario.Scenario
-	case s.Stream != nil:
-		return "stream"
-	default:
-		return s.Workload.Kind
-	}
-}
-
-// Seed returns the generator seed, whichever spec form holds it.
-func (s Spec) Seed() int64 {
-	switch {
-	case s.Scenario != nil:
-		return s.Scenario.Seed
-	case s.Stream != nil:
-		return s.Stream.Seed
-	default:
-		return s.Workload.Seed
-	}
 }
 
 // String renders the spec as its canonical single-line JSON.
@@ -201,7 +151,7 @@ func (h *Harness) Run(spec Spec) ([]Failure, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Stream != nil || spec.Scenario != nil {
+	if spec.Workload.Blocks > 0 {
 		return h.runChained(spec)
 	}
 	genesis, block, err := spec.Workload.Generate()
@@ -241,13 +191,7 @@ func (h *Harness) Run(spec Spec) ([]Failure, error) {
 // same height, and the final folded head must equal the sequential
 // end state — the digest-continuity property of the state layer.
 func (h *Harness) runChained(spec Spec) ([]Failure, error) {
-	var src workload.BlockSource
-	var err error
-	if spec.Scenario != nil {
-		src, err = spec.Scenario.Open()
-	} else {
-		src, err = spec.Stream.Open()
-	}
+	src, err := spec.Workload.OpenSource()
 	if err != nil {
 		return nil, err
 	}

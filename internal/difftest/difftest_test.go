@@ -27,7 +27,7 @@ func TestDiffGrid(t *testing.T) {
 	// mainnet-shaped scenario stream with it.
 	covered := map[string]bool{}
 	for _, s := range specs {
-		covered[s.Label()] = true
+		covered[label(s.Workload)] = true
 	}
 	for _, kind := range workload.SpecKinds {
 		if kind == "sct" || kind == "erc20" {
@@ -42,6 +42,9 @@ func TestDiffGrid(t *testing.T) {
 			t.Errorf("grid covers no %q scenario", name)
 		}
 	}
+	if !covered["stream"] {
+		t.Error("grid covers no token chain")
+	}
 
 	// When MTPU_DIFF_REPRO_DIR is set (CI does), every divergence is
 	// shrunk and written there so the run's artifact holds ready-made
@@ -49,7 +52,7 @@ func TestDiffGrid(t *testing.T) {
 	reproDir := os.Getenv("MTPU_DIFF_REPRO_DIR")
 	h := &Harness{}
 	for i, spec := range specs {
-		t.Run(spec.Label()+"/"+itoa(i), func(t *testing.T) {
+		t.Run(label(spec.Workload)+"/"+itoa(i), func(t *testing.T) {
 			t.Parallel()
 			fails, err := h.Run(spec)
 			if err != nil {
@@ -200,7 +203,9 @@ func TestDDMin(t *testing.T) {
 }
 
 // TestWriteReproducer: a failure round-trips through the corpus file
-// format with its triage context.
+// format with its triage context, and the file name carries the
+// engine, the workload's label and the seed — for a chained spec too,
+// whose label sets it apart from a single block of the same kind.
 func TestWriteReproducer(t *testing.T) {
 	st, err := engine.Parse("spatial-temporal")
 	if err != nil {
@@ -239,6 +244,72 @@ func TestWriteReproducer(t *testing.T) {
 	}
 	if _, err := ParseSpecFile([]byte(`{"workload":{"kind":"token","txs":4,"seed":1},"warp":2}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+	if got, want := filepath.Base(path), "diff-spatial-temporal-chain-31.json"; got != want {
+		t.Errorf("reproducer named %s, want %s", got, want)
+	}
+
+	chained := Spec{Workload: workload.Spec{Kind: "dex", Blocks: 2, Txs: 12, Skew: 1.2, Seed: 77}, PUs: 4}
+	fails, err = h.Run(chained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fails) == 0 {
+		t.Fatal("injected scheduler bug not caught on the chained spec")
+	}
+	path, err = h.WriteReproducer(dir, fails[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := filepath.Base(path), "diff-spatial-temporal-scenario-dex-77.json"; got != want {
+		t.Errorf("chained reproducer named %s, want %s", got, want)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, err = ParseSpecFile(data); err != nil {
+		t.Fatal(err)
+	} else if spec.Workload.Kind != "dex" || spec.Workload.Blocks < 1 || spec.Workload.Seed != 77 {
+		t.Errorf("chained reproducer spec %s", spec)
+	}
+
+	// A token chain and a single token block with the same seed write
+	// two files: neither reproducer overwrites the other.
+	for _, c := range []struct {
+		w    workload.Spec
+		want string
+	}{
+		{workload.Spec{Kind: "token", Txs: 16, Dep: 0.5, Seed: 55}, "diff-spatial-temporal-token-55.json"},
+		{workload.Spec{Kind: "token", Blocks: 2, Txs: 16, Dep: 0.5, Seed: 55}, "diff-spatial-temporal-stream-55.json"},
+	} {
+		fails, err := h.Run(Spec{Workload: c.w, PUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fails) == 0 {
+			t.Fatalf("injected scheduler bug not caught on %s", c.w)
+		}
+		path, err := h.WriteReproducer(dir, fails[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := filepath.Base(path); got != c.want {
+			t.Errorf("%s: reproducer named %s, want %s", c.w, got, c.want)
+		}
+	}
+	for _, name := range []string{"diff-spatial-temporal-token-55.json", "diff-spatial-temporal-stream-55.json"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpecFile(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chained := spec.Workload.Blocks > 0; chained != strings.Contains(name, "stream") {
+			t.Errorf("%s holds spec %s", name, spec)
+		}
 	}
 }
 

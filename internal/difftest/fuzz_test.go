@@ -16,12 +16,12 @@ import (
 func fuzzSpec(seed int64, kind, txs, depPct, pus, window uint8, dbLines uint16, minLine, blocks, scen uint8) Spec {
 	if sc := int(scen) % 11; sc >= 6 {
 		return Spec{
-			Scenario: &workload.ScenarioSpec{
-				Scenario: workload.Scenarios[sc-6],
-				Blocks:   2 + int(blocks)%3,
-				Txs:      1 + int(txs)%10,
-				Skew:     float64(int(depPct)%161) / 80, // [0, 2]
-				Seed:     seed,
+			Workload: workload.Spec{
+				Kind:   workload.Scenarios[sc-6],
+				Blocks: 2 + int(blocks)%3,
+				Txs:    1 + int(txs)%10,
+				Skew:   float64(int(depPct)%161) / 80, // [0, 2]
+				Seed:   seed,
 			},
 			PUs:    1 + int(pus)%8,
 			Window: int(window) % 17,
@@ -29,7 +29,8 @@ func fuzzSpec(seed int64, kind, txs, depPct, pus, window uint8, dbLines uint16, 
 	}
 	if n := int(blocks) % 5; n >= 2 {
 		return Spec{
-			Stream: &workload.StreamSpec{
+			Workload: workload.Spec{
+				Kind:   "token",
 				Blocks: n,
 				Txs:    1 + int(txs)%12,
 				Dep:    float64(int(depPct)%101) / 100,

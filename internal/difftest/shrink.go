@@ -3,10 +3,10 @@ package difftest
 import "mtpu/internal/engine"
 
 // Shrink reduces a failing spec to a minimal one that still fails on
-// the same engine: first ddmin over the transaction set (recorded as
-// workload drop indices, so the reproducer regenerates byte-identically),
-// then a greedy pass over the architectural dimensions (PU count,
-// candidate window, account pool). Only the originally-failing engine is
+// the same engine: first ddmin over a single block's transaction set
+// (recorded as workload drop indices, so the reproducer regenerates
+// byte-identically) or a chain's length, then a greedy pass over the
+// architectural dimensions (PU count, candidate window, account pool). Only the originally-failing engine is
 // re-run, so shrinking a single divergence never costs a full sweep per
 // probe. The failure the caller holds is returned unchanged if nothing
 // smaller still fails.
@@ -20,37 +20,20 @@ func (h *Harness) Shrink(f Failure) Spec {
 	}
 
 	spec := f.Spec
-	if spec.Stream != nil {
-		// Chained specs have no per-transaction drop encoding; shrink
-		// the chain length instead, then the architectural dimensions.
-		for spec.Stream.Blocks > 1 {
-			s := spec
-			ss := *spec.Stream
-			ss.Blocks--
-			s.Stream = &ss
-			if !fails(s) {
-				break
-			}
-			spec = s
-		}
-		return shrinkDims(spec, fails)
+	if spec.Workload.Blocks == 0 {
+		spec = shrinkTxs(spec, fails)
 	}
-	if spec.Scenario != nil {
-		for spec.Scenario.Blocks > 1 {
-			s := spec
-			ss := *spec.Scenario
-			ss.Blocks--
-			s.Scenario = &ss
-			if !fails(s) {
-				break
-			}
-			spec = s
+	// Chained specs have no per-transaction drop encoding; shrink the
+	// chain length instead.
+	for spec.Workload.Blocks > 1 {
+		s := spec
+		s.Workload.Blocks--
+		if !fails(s) {
+			break
 		}
-		return shrinkDims(spec, fails)
+		spec = s
 	}
-	spec = shrinkTxs(spec, fails)
-	spec = shrinkDims(spec, fails)
-	return spec
+	return shrinkDims(spec, fails)
 }
 
 // shrinkTxs ddmins the kept-transaction set.
@@ -155,34 +138,6 @@ func shrinkDims(spec Spec, fails func(Spec) bool) Spec {
 		}
 	}
 	for _, acc := range []int{8, 32} {
-		if spec.Stream != nil {
-			if acc >= spec.Stream.AccountPool() {
-				break
-			}
-			s := spec
-			ss := *spec.Stream
-			ss.Accounts = acc
-			s.Stream = &ss
-			if fails(s) {
-				spec = s
-				break
-			}
-			continue
-		}
-		if spec.Scenario != nil {
-			if acc >= spec.Scenario.AccountPool() {
-				break
-			}
-			s := spec
-			ss := *spec.Scenario
-			ss.Accounts = acc
-			s.Scenario = &ss
-			if fails(s) {
-				spec = s
-				break
-			}
-			continue
-		}
 		if acc >= spec.Workload.AccountPool() {
 			break
 		}

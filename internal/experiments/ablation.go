@@ -6,6 +6,7 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
+	"mtpu/internal/workload"
 )
 
 // AblationRow is one knob setting and the full-system speedup under it.
@@ -80,7 +81,7 @@ func ablationSpecs() []ablationSpec {
 // piece is weakened?". Knob settings fan out over env.Workers; they
 // share one cached trace set and one scalar reference.
 func Ablations(env *Env) []AblationRow {
-	e := env.cache.Get(tokenSpec(160, 0.3))
+	e := env.cache.Get(workload.Spec{Kind: "token", Txs: 160, Dep: 0.3})
 
 	// Scalar reference is independent of the knobs under test.
 	scalar := float64(env.replay(e, core.ModeScalar, 1).Cycles)

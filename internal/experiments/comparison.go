@@ -5,6 +5,7 @@ import (
 
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
+	"mtpu/internal/workload"
 )
 
 // ERC20Shares is the Table 8 sweep (proportion of ERC-20 transactions).
@@ -28,7 +29,7 @@ func Table8(env *Env) []Table8Row {
 	rows := make([]Table8Row, len(ERC20Shares))
 	env.forEachPoint(len(rows), func(i int) {
 		share := ERC20Shares[i]
-		e := env.cache.Get(erc20Spec(CompareBlockSize, share))
+		e := env.cache.Get(workload.Spec{Kind: "erc20", Txs: CompareBlockSize, Share: share})
 		scalarRes := env.replay(e, core.ModeScalar, 1)
 		mtpuRes := env.replay(e, core.ModeSTHotspot, 1)
 
@@ -80,7 +81,7 @@ func Table9(env *Env) []Table9Row {
 	rows := make([]Table9Row, len(Table9Ratios))
 	env.forEachPoint(len(rows), func(i int) {
 		ratio := Table9Ratios[i]
-		e := env.cache.Get(mixedSpec(CompareBlockSize, ratio))
+		e := env.cache.Get(workload.Spec{Kind: "mixed", Txs: CompareBlockSize, Dep: ratio})
 		scalarRes := env.replay(e, core.ModeScalar, 1)
 		mtpuRes := env.replay(e, core.ModeSTHotspot, 4)
 

@@ -75,7 +75,7 @@ var Top8Names = []string{
 
 // batch returns the cached entry for a same-contract batch.
 func (e *Env) batch(name string, n int) *cacheEntry {
-	return e.cache.Get(batchSpec(name, n))
+	return e.cache.Get(workload.Spec{Kind: "batch", Txs: n, Contract: name})
 }
 
 // batchTraces collects golden traces for a same-contract batch.

@@ -7,6 +7,7 @@ import (
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
 	"mtpu/internal/metrics"
+	"mtpu/internal/workload"
 )
 
 // PerfPoint is one host-side throughput measurement of the simulator hot
@@ -46,11 +47,11 @@ type perfCase struct {
 }
 
 // replayCase builds a full-replay perf case: one repetition is one
-// Env.replay of the entry's block under the mode — scheduling,
-// PU/pipeline replay and result assembly included, exactly what the
-// sweep experiments pay per grid point.
-func replayCase(name string, env *Env, spec workloadSpec, mode core.Mode, pus int) perfCase {
-	entry := env.cache.Get(spec)
+// Env.replay of the scheduling grid's token block at dep under the mode
+// — scheduling, PU/pipeline replay and result assembly included, exactly
+// what the sweep experiments pay per grid point.
+func replayCase(name string, env *Env, dep float64, mode core.Mode, pus int) perfCase {
+	entry := env.cache.Get(workload.Spec{Kind: "token", Txs: SchedBlockSize, Dep: dep})
 	return perfCase{
 		name: name,
 		txs:  len(entry.Block.Transactions),
@@ -80,16 +81,16 @@ func PerfSweepOnly(env *Env, only string) []PerfPoint {
 	}{
 		{"fig13/pipeline-batch", func() perfCase { return pipelineBatchCase(env) }},
 		{"fig14/st-dep0.3-4pu", func() perfCase {
-			return replayCase("fig14/st-dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeSpatialTemporal, 4)
+			return replayCase("fig14/st-dep0.3-4pu", env, 0.3, core.ModeSpatialTemporal, 4)
 		}},
 		{"fig14/st-dep0.6-8pu", func() perfCase {
-			return replayCase("fig14/st-dep0.6-8pu", env, tokenSpec(SchedBlockSize, 0.6), core.ModeSpatialTemporal, 8)
+			return replayCase("fig14/st-dep0.6-8pu", env, 0.6, core.ModeSpatialTemporal, 8)
 		}},
 		{"fig16/redundancy-dep0.3-4pu", func() perfCase {
-			return replayCase("fig16/redundancy-dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeSTRedundancy, 4)
+			return replayCase("fig16/redundancy-dep0.3-4pu", env, 0.3, core.ModeSTRedundancy, 4)
 		}},
 		{"stm/dep0.3-4pu", func() perfCase {
-			return replayCase("stm/dep0.3-4pu", env, tokenSpec(SchedBlockSize, 0.3), core.ModeBlockSTM, 4)
+			return replayCase("stm/dep0.3-4pu", env, 0.3, core.ModeBlockSTM, 4)
 		}},
 	}
 	minWall := env.PerfWall

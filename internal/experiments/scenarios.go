@@ -63,15 +63,15 @@ func ScenarioSweep(env *Env) []ScenarioPoint {
 	out := make([]ScenarioPoint, len(grid)*len(modes))
 	env.forEachPoint(len(grid), func(gi int) {
 		pt := grid[gi]
-		spec := workload.ScenarioSpec{
-			Scenario: pt.scenario,
-			Blocks:   ScenarioSweepBlocks,
-			Txs:      ScenarioSweepTxs,
-			Skew:     ScenarioSweepSkew,
-			Seed:     env.Seed,
+		spec := workload.Spec{
+			Kind:   pt.scenario,
+			Blocks: ScenarioSweepBlocks,
+			Txs:    ScenarioSweepTxs,
+			Skew:   ScenarioSweepSkew,
+			Seed:   env.Seed,
 		}
 		for mi, m := range modes {
-			src, err := spec.Open()
+			src, err := spec.OpenSource()
 			if err != nil {
 				panic(err)
 			}

@@ -8,6 +8,7 @@ import (
 	"mtpu/internal/engine"
 	"mtpu/internal/metrics"
 	"mtpu/internal/obs"
+	"mtpu/internal/workload"
 )
 
 // DepRatios is the dependent-transaction-ratio sweep of Figs. 14-16.
@@ -94,7 +95,7 @@ func SchedulingSweep(env *Env, puCounts []int, ratios []float64) []SchedPoint {
 	out := make([]SchedPoint, len(ratios)*len(puCounts))
 	env.forEachPoint(len(out), func(i int) {
 		target, pus := ratios[i/len(puCounts)], puCounts[i%len(puCounts)]
-		e := env.cache.Get(tokenSpec(SchedBlockSize, target))
+		e := env.cache.Get(workload.Spec{Kind: "token", Txs: SchedBlockSize, Dep: target})
 		base := env.seqBaseline(e)
 		pt := SchedPoint{
 			TargetRatio: target,

@@ -5,6 +5,7 @@ import (
 	"mtpu/internal/arch/pipeline"
 	"mtpu/internal/arch/pu"
 	"mtpu/internal/metrics"
+	"mtpu/internal/workload"
 )
 
 // Table1Row reproduces the execution-overhead row of Table 1: the share
@@ -35,7 +36,7 @@ func Table1(env *Env) []Table1Row {
 	rows := make([]Table1Row, len(table1Years))
 	env.forEachPoint(len(rows), func(i int) {
 		y := table1Years[i]
-		e := env.cache.Get(sctSpec(200, y.share))
+		e := env.cache.Get(workload.Spec{Kind: "sct", Txs: 200, Share: y.share})
 		cfg := arch.ScalarConfig()
 		unit := pu.New(0, cfg)
 		mem := pipeline.FlatMem{Cfg: cfg}

@@ -21,12 +21,14 @@ import (
 // accelerator that learned the block's hotspots and the single-PU
 // sequential-ILP baseline (Env.replay, Env.seqBaseline).
 //
-// Every entry is keyed by the workload spec alone and built from a fresh
-// workload.Generator seeded with the cache's seed, so a spec maps to the
-// same block no matter which experiment asks first or how many ask
-// concurrently — the property that lets the scheduling grid and the perf
-// sweep share one functional-EVM pass per TokenBlock, and lets the
-// parallel sweep runner produce output byte-identical to the serial one.
+// Every entry is keyed by its single-block workload.Spec, whose seed and
+// account pool the cache pins to its own, and built from a fresh
+// generator through the spec's own dispatch (workload.Spec.Block), so a
+// spec maps to the same block no matter which experiment asks first or
+// how many ask concurrently — the property that lets the scheduling
+// grid and the perf sweep share one functional-EVM pass per TokenBlock,
+// and lets the parallel sweep runner produce output byte-identical to
+// the serial one.
 //
 // Each spec is decoded once, by core.PrepareBlock at the cache's head:
 // the head of a store over the genesis that never commits. That is one
@@ -39,49 +41,11 @@ import (
 // construction; callers must treat the returned blocks, traces and plans
 // as read-only.
 
-// workloadSpec identifies one deterministic workload: the generator
-// method, its size and its sweep parameter. Two equal specs always yield
-// the same block.
-type workloadSpec struct {
-	// Kind selects the workload.Generator method: "token", "erc20",
-	// "mixed", "sct" or "batch".
-	Kind string
-	// Contract names the batched contract ("batch" kind only).
-	Contract string
-	// N is the transaction count.
-	N int
-	// Param is the sweep knob: dependent ratio, ERC-20 share or SCT share.
-	Param float64
-}
-
-// tokenSpec specifies a TokenBlock with the given dependent-transaction ratio.
-func tokenSpec(n int, depRatio float64) workloadSpec {
-	return workloadSpec{Kind: "token", N: n, Param: depRatio}
-}
-
-// erc20Spec specifies an ERC20Block with the given Tether-transfer share.
-func erc20Spec(n int, share float64) workloadSpec {
-	return workloadSpec{Kind: "erc20", N: n, Param: share}
-}
-
-// mixedSpec specifies a MixedBlock with the given dependent-transaction ratio.
-func mixedSpec(n int, depRatio float64) workloadSpec {
-	return workloadSpec{Kind: "mixed", N: n, Param: depRatio}
-}
-
-// sctSpec specifies an SCTBlock with the given smart-contract-transaction share.
-func sctSpec(n int, share float64) workloadSpec { return workloadSpec{Kind: "sct", N: n, Param: share} }
-
-// batchSpec specifies a same-contract batch cycling through entry functions.
-func batchSpec(contract string, n int) workloadSpec {
-	return workloadSpec{Kind: "batch", Contract: contract, N: n}
-}
-
 // scheduled reports whether the sweeps schedule the spec's block against
 // its conflict DAG. Such a block may contain no reverted transaction
 // (workload.BuildDAG's rule); batches and SCT mixes are replayed
 // sequentially and are exempt.
-func (s workloadSpec) scheduled() bool {
+func scheduled(s workload.Spec) bool {
 	switch s.Kind {
 	case "token", "erc20", "mixed":
 		return true
@@ -143,8 +107,10 @@ type traceCache struct {
 	// replays read through ReplayOpts.Head.
 	head *mvstate.Snapshot
 
-	mu      sync.Mutex
-	entries map[workloadSpec]*cacheSlot
+	mu sync.Mutex
+	// entries is keyed by the spec's canonical String: Drop makes
+	// workload.Spec non-comparable.
+	entries map[string]*cacheSlot
 
 	hits, misses atomic.Int64
 }
@@ -166,7 +132,7 @@ func newTraceCache(seed int64, accounts int, genesis *state.StateDB) *traceCache
 		seed:     seed,
 		accounts: accounts,
 		head:     mvstate.NewStore(genesis, nil).Head(),
-		entries:  make(map[workloadSpec]*cacheSlot),
+		entries:  make(map[string]*cacheSlot),
 	}
 }
 
@@ -175,14 +141,17 @@ func (c *traceCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Get returns the entry for spec, building it on first use. Concurrent
-// calls for the same spec share one build.
-func (c *traceCache) Get(spec workloadSpec) *cacheEntry {
+// Get returns the entry for spec with its seed and account pool set to
+// the cache's, building it on first use. Concurrent calls for the same
+// spec share one build.
+func (c *traceCache) Get(spec workload.Spec) *cacheEntry {
+	spec.Seed, spec.Accounts = c.seed, c.accounts
+	key := spec.String()
 	c.mu.Lock()
-	s := c.entries[spec]
+	s := c.entries[key]
 	if s == nil {
 		s = &cacheSlot{}
-		c.entries[spec] = s
+		c.entries[key] = s
 	}
 	c.mu.Unlock()
 
@@ -201,31 +170,19 @@ func (c *traceCache) Get(spec workloadSpec) *cacheEntry {
 
 // build generates the spec's block from a fresh generator (so the result
 // is independent of every other spec) and decodes it once at the head.
-func (c *traceCache) build(spec workloadSpec) *cacheEntry {
-	g := workload.NewGenerator(c.seed, c.accounts)
-	var block *types.Block
-	switch spec.Kind {
-	case "token":
-		block = g.TokenBlock(spec.N, spec.Param)
-	case "erc20":
-		block = g.ERC20Block(spec.N, spec.Param)
-	case "mixed":
-		block = g.MixedBlock(spec.N, spec.Param)
-	case "sct":
-		block = g.SCTBlock(spec.N, spec.Param)
-	case "batch":
-		block = g.Batch(g.Contract(spec.Contract), spec.N)
-	default:
-		panic("experiments: unknown workload kind " + spec.Kind)
+func (c *traceCache) build(spec workload.Spec) *cacheEntry {
+	block, err := spec.Block()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	prep, err := core.PrepareBlock(c.head, block)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: decode %+v: %v", spec, err))
+		panic(fmt.Sprintf("experiments: decode %s: %v", spec, err))
 	}
-	if spec.scheduled() {
+	if scheduled(spec) {
 		for i, r := range prep.Receipts {
 			if r.Status != types.ReceiptSuccess {
-				panic(fmt.Sprintf("experiments: decode %+v: tx %d reverted", spec, i))
+				panic(fmt.Sprintf("experiments: decode %s: tx %d reverted", spec, i))
 			}
 		}
 	}

@@ -21,7 +21,10 @@ func newTestCache() *traceCache {
 func TestEntryMatchesSequentialOracle(t *testing.T) {
 	genesis := workload.NewGenerator(7, 512).Genesis()
 	c := newTraceCache(7, 512, genesis)
-	specs := []workloadSpec{tokenSpec(48, 0.5), erc20Spec(48, 0.5), mixedSpec(48, 0.4), sctSpec(48, 0.6), batchSpec("TetherUSD", 24)}
+	specs := []workload.Spec{
+		{Kind: "token", Txs: 48, Dep: 0.5}, {Kind: "erc20", Txs: 48, Share: 0.5}, {Kind: "mixed", Txs: 48, Dep: 0.4},
+		{Kind: "sct", Txs: 48, Share: 0.6}, {Kind: "batch", Txs: 24, Contract: "TetherUSD"},
+	}
 	for _, spec := range specs {
 		e := c.Get(spec)
 		traces, receipts, digest, err := core.CollectTracesOn(genesis.Copy(), e.Block)
@@ -44,7 +47,7 @@ func TestEntryMatchesSequentialOracle(t *testing.T) {
 				t.Errorf("%+v: tx %d traced %d instructions, sequential %d", spec, i, got, want)
 			}
 		}
-		if spec.scheduled() {
+		if scheduled(spec) {
 			if err := workload.VerifyDAG(genesis, e.Block); err != nil {
 				t.Errorf("%+v: %v", spec, err)
 			}
@@ -54,14 +57,19 @@ func TestEntryMatchesSequentialOracle(t *testing.T) {
 
 func TestGetMemoizes(t *testing.T) {
 	c := newTestCache()
-	spec := tokenSpec(32, 0.5)
+	spec := workload.Spec{Kind: "token", Txs: 32, Dep: 0.5}
 	a := c.Get(spec)
 	b := c.Get(spec)
 	if a != b {
 		t.Fatal("repeat Get returned a different entry")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	// The cache pins the seed and account pool to its own.
+	spec.Seed, spec.Accounts = 99, 64
+	if c.Get(spec) != a {
+		t.Fatal("Get keyed on the caller's seed or account pool")
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 2/1", hits, misses)
 	}
 	if len(a.Traces) != len(a.Block.Transactions) {
 		t.Fatalf("%d traces for %d transactions", len(a.Traces), len(a.Block.Transactions))
@@ -73,7 +81,10 @@ func TestGetMemoizes(t *testing.T) {
 
 func TestGetConcurrent(t *testing.T) {
 	c := newTestCache()
-	specs := []workloadSpec{tokenSpec(24, 0.3), erc20Spec(24, 0.5), mixedSpec(24, 0.4), sctSpec(24, 0.6), batchSpec("TetherUSD", 12)}
+	specs := []workload.Spec{
+		{Kind: "token", Txs: 24, Dep: 0.3}, {Kind: "erc20", Txs: 24, Share: 0.5}, {Kind: "mixed", Txs: 24, Dep: 0.4},
+		{Kind: "sct", Txs: 24, Share: 0.6}, {Kind: "batch", Txs: 12, Contract: "TetherUSD"},
+	}
 	const goroutines = 8
 	entries := make([][]*cacheEntry, goroutines)
 	var wg sync.WaitGroup
@@ -105,12 +116,12 @@ func TestSpecIndependentOfCallOrder(t *testing.T) {
 	// Each spec builds from a fresh generator, so the same spec yields
 	// the same workload no matter what was requested before it.
 	a := newTestCache()
-	first := a.Get(tokenSpec(32, 0.5))
+	first := a.Get(workload.Spec{Kind: "token", Txs: 32, Dep: 0.5})
 
 	b := newTestCache()
-	b.Get(erc20Spec(24, 0.5))
-	b.Get(batchSpec("Dai", 8))
-	second := b.Get(tokenSpec(32, 0.5))
+	b.Get(workload.Spec{Kind: "erc20", Txs: 24, Share: 0.5})
+	b.Get(workload.Spec{Kind: "batch", Txs: 8, Contract: "Dai"})
+	second := b.Get(workload.Spec{Kind: "token", Txs: 32, Dep: 0.5})
 
 	if first.Digest != second.Digest {
 		t.Fatalf("digest depends on call order: %x vs %x", first.Digest, second.Digest)
@@ -122,7 +133,7 @@ func TestSpecIndependentOfCallOrder(t *testing.T) {
 
 func TestPlainPlans(t *testing.T) {
 	c := newTestCache()
-	e := c.Get(batchSpec("TetherUSD", 8))
+	e := c.Get(workload.Spec{Kind: "batch", Txs: 8, Contract: "TetherUSD"})
 	p1 := e.PlainPlans()
 	p2 := e.PlainPlans()
 	if len(p1) != len(e.Traces) {

@@ -9,14 +9,13 @@ import (
 	"mtpu/internal/core"
 	"mtpu/internal/difftest"
 	"mtpu/internal/hotspot"
-	"mtpu/internal/state"
 	"mtpu/internal/types"
 	"mtpu/internal/workload"
 )
 
 // chainTraces replays a chained block source sequentially and returns
 // every block's traces in stream order.
-func chainTraces(t *testing.T, src workload.BlockSource) []*arch.TxTrace {
+func chainTraces(t *testing.T, src *workload.Stream) []*arch.TxTrace {
 	t.Helper()
 	st := src.Genesis().Copy()
 	var traces []*arch.TxTrace
@@ -33,33 +32,26 @@ func chainTraces(t *testing.T, src workload.BlockSource) []*arch.TxTrace {
 	}
 }
 
-// specTraces returns the traces of one difftest spec, whichever form
-// its workload takes.
+// specTraces returns the traces of one difftest spec, single block or
+// chain.
 func specTraces(t *testing.T, spec difftest.Spec) []*arch.TxTrace {
 	t.Helper()
-	var src workload.BlockSource
-	var err error
-	switch {
-	case spec.Scenario != nil:
-		src, err = spec.Scenario.Open()
-	case spec.Stream != nil:
-		src, err = spec.Stream.Open()
-	default:
-		var genesis *state.StateDB
-		var block *types.Block
-		if genesis, block, err = spec.Workload.Generate(); err != nil {
-			t.Fatal(err)
-		}
-		traces, _, _, err := core.CollectTraces(genesis, block)
+	if spec.Workload.Blocks > 0 {
+		src, err := spec.Workload.OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return traces
+		return chainTraces(t, src)
 	}
+	genesis, block, err := spec.Workload.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return chainTraces(t, src)
+	traces, _, _, err := core.CollectTraces(genesis, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces
 }
 
 // failingTraces returns traces of TetherUSD calls that leave the usual
@@ -117,7 +109,7 @@ func memoCorpus(t *testing.T) map[string][]*arch.TxTrace {
 	}
 	out["difftest"] = all
 	for _, name := range workload.Scenarios {
-		src, err := workload.ScenarioSpec{Scenario: name, Blocks: 8, Txs: 48, Skew: 1.2, Seed: 31}.Open()
+		src, err := workload.Spec{Kind: name, Blocks: 8, Txs: 48, Skew: 1.2, Seed: 31}.OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,9 @@ import (
 	"mtpu/internal/workload"
 )
 
-func startIngest(t *testing.T, cfg Config, spec workload.StreamSpec) (*Service, *Ingest, *workload.Stream) {
+func startIngest(t *testing.T, cfg Config, spec workload.Spec) (*Service, *Ingest, *workload.Stream) {
 	t.Helper()
-	src, err := spec.Open()
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -40,7 +40,7 @@ func startIngest(t *testing.T, cfg Config, spec workload.StreamSpec) (*Service, 
 // TestHTTPIngest drives the full protocol surface over TCP: raw-RLP and
 // JSON-envelope submission, bad input, health, and the post-drain 503s.
 func TestHTTPIngest(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 6, Txs: 8, Dep: 0.3, Seed: 21}
+	spec := workload.Spec{Kind: "token", Blocks: 6, Txs: 8, Dep: 0.3, Seed: 21}
 	svc, in, src := startIngest(t, Config{Mode: engine.ModeSTHotspot, ShadowSample: 1}, spec)
 	base := "http://" + in.Addr
 
@@ -102,7 +102,7 @@ func TestHTTPIngest(t *testing.T) {
 // envelope keys and empty/missing rlp payloads are 400s with pointed
 // messages, not accepted blocks or misleading block-decode errors.
 func TestHTTPEnvelopeStrict(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 4, Txs: 4, Seed: 55}
+	spec := workload.Spec{Kind: "token", Blocks: 4, Txs: 4, Seed: 55}
 	svc, in, src := startIngest(t, Config{Mode: engine.ModeScalar}, spec)
 	base := "http://" + in.Addr
 
@@ -156,7 +156,7 @@ func TestHTTPEnvelopeStrict(t *testing.T) {
 
 // TestUnixIngest submits a block over the unix socket listener.
 func TestUnixIngest(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 2, Txs: 6, Seed: 33}
+	spec := workload.Spec{Kind: "token", Blocks: 2, Txs: 6, Seed: 33}
 	svc, in, src := startIngest(t, Config{Mode: engine.ModeScalar}, spec)
 
 	sock := in.unixPath
@@ -186,8 +186,8 @@ func TestUnixIngest(t *testing.T) {
 // TestHTTPQueueFull stalls the executor behind a depth-1 queue and
 // floods ingest until the server answers 429 with a Retry-After hint.
 func TestHTTPQueueFull(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 32, Txs: 2, Seed: 44}
-	src, err := spec.Open()
+	spec := workload.Spec{Kind: "token", Blocks: 32, Txs: 2, Seed: 44}
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestIngestCutsOffStalledClients(t *testing.T) {
 	ingestReadHeaderTimeout, ingestReadTimeout = header/20, whole/20
 	t.Cleanup(func() { ingestReadHeaderTimeout, ingestReadTimeout = header, whole })
 
-	spec := workload.StreamSpec{Blocks: 2, Txs: 4, Seed: 66}
+	spec := workload.Spec{Kind: "token", Blocks: 2, Txs: 4, Seed: 66}
 	svc, in, src := startIngest(t, Config{Mode: engine.ModeScalar}, spec)
 
 	// awaitCutoff reads conn until the server ends it and returns what

@@ -18,9 +18,9 @@ import (
 
 // drive opens the spec's stream and pushes every block through a fresh
 // service, returning the drained report and the telemetry registry.
-func drive(t *testing.T, cfg Config, spec workload.StreamSpec) (*Report, *telemetry.Metrics) {
+func drive(t *testing.T, cfg Config, spec workload.Spec) (*Report, *telemetry.Metrics) {
 	t.Helper()
-	src, err := spec.Open()
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestStreamAllEngines(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			spec := workload.StreamSpec{Blocks: 12, Txs: 12, Dep: 0.4, Seed: 7 + int64(mode)}
+			spec := workload.Spec{Kind: "token", Blocks: 12, Txs: 12, Dep: 0.4, Seed: 7 + int64(mode)}
 			rep, tel := drive(t, Config{Mode: mode, ShadowSample: 1, HotspotTopN: 4, VerifyChain: true}, spec)
 
 			if rep.Committed != uint64(spec.Blocks) || rep.Accepted != uint64(spec.Blocks) {
@@ -95,8 +95,8 @@ func TestStreamAllEngines(t *testing.T) {
 // (VerifyChain) and every block shadow-validated against its chained
 // pre-state.
 func TestStreamChainedDigest(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 10, Txs: 16, Dep: 0.5, Seed: 21}
-	src, err := spec.Open()
+	spec := workload.Spec{Kind: "token", Blocks: 10, Txs: 16, Dep: 0.5, Seed: 21}
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestStreamChainedDigest(t *testing.T) {
 // leaves the accumulator — and every digest priced from it — where it
 // was, so only the from-scratch sum can see it, and verifyFold must.
 func TestVerifyFoldIsIndependent(t *testing.T) {
-	src, err := workload.StreamSpec{Blocks: 2, Txs: 8, Dep: 0.3, Seed: 5}.Open()
+	src, err := workload.Spec{Kind: "token", Blocks: 2, Txs: 8, Dep: 0.3, Seed: 5}.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestVerifyFoldIsIndependent(t *testing.T) {
 // blocks: with a stream long enough to fill the queues, prefetch of
 // block N+1 must have been busy while execute of block N was.
 func TestStreamOverlap(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 32, Txs: 24, Dep: 0.3, Seed: 11}
+	spec := workload.Spec{Kind: "token", Blocks: 32, Txs: 24, Dep: 0.3, Seed: 11}
 	rep, tel := drive(t, Config{Mode: engine.ModeSTHotspot, ShadowSample: 0.25}, spec)
 	if rep.Overlap == 0 {
 		t.Fatalf("no stage overlap recorded across %d blocks — pipeline ran sequentially", spec.Blocks)
@@ -223,8 +223,8 @@ func TestStreamOverlap(t *testing.T) {
 // queues fill (bounded memory), and the graceful drain must still
 // commit every block that was accepted.
 func TestStreamBackpressure(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 64, Txs: 4, Dep: 0, Seed: 3}
-	src, err := spec.Open()
+	spec := workload.Spec{Kind: "token", Blocks: 64, Txs: 4, Dep: 0, Seed: 3}
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -297,8 +297,8 @@ ingest:
 // valid ones: the service counts it invalid, keeps running, and commits
 // the rest.
 func TestStreamInvalidBlock(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 4, Txs: 8, Dep: 0.2, Seed: 5}
-	src, err := spec.Open()
+	spec := workload.Spec{Kind: "token", Blocks: 4, Txs: 8, Dep: 0.2, Seed: 5}
+	src, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("opening stream: %v", err)
 	}
@@ -333,8 +333,8 @@ func TestStreamInvalidBlock(t *testing.T) {
 // TestSubmitAfterClose verifies both submit paths refuse new blocks
 // once the drain begins.
 func TestSubmitAfterClose(t *testing.T) {
-	spec := workload.StreamSpec{Blocks: 2, Txs: 4, Seed: 9}
-	src, _ := spec.Open()
+	spec := workload.Spec{Kind: "token", Blocks: 2, Txs: 4, Seed: 9}
+	src, _ := spec.OpenSource()
 	svc, err := New(Config{Mode: engine.ModeScalar, Genesis: src.Genesis()})
 	if err != nil {
 		t.Fatalf("starting service: %v", err)

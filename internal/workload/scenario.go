@@ -1,20 +1,10 @@
 package workload
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-
-	"mtpu/internal/contracts"
-	"mtpu/internal/state"
-	"mtpu/internal/types"
-)
+import "mtpu/internal/types"
 
 // Scenarios lists every recognizable traffic shape the scenario
-// generator produces. Each one is a chained block stream (like
-// StreamSpec) whose account and contract popularity follows a Zipf(s)
+// generator produces. Each one is a chained Spec kind (like the token
+// chain) whose account and contract popularity follows a Zipf(s)
 // distribution — the mainnet-shaped corpus of ROADMAP item 3:
 //
 //	erc20-mix  transfers across the four token archetypes, Zipfian
@@ -48,270 +38,26 @@ const (
 	oraclePosters = 8
 )
 
-// ScenarioSpec is the serializable recipe for one scenario stream:
-// Blocks chained blocks of Txs transactions, popularity skew s = Skew,
-// deterministically derived from Seed. Like StreamSpec it round-trips
-// through strict JSON and a flag shorthand, and its stream is a chain —
-// nonces, balances, mint ids and feed rounds carry across blocks, so
-// block N+1 is only valid against block N's post-state.
-type ScenarioSpec struct {
-	// Scenario names the traffic shape (one of Scenarios).
-	Scenario string `json:"scenario"`
-	// Blocks is the stream length.
-	Blocks int `json:"blocks"`
-	// Txs is the per-block transaction count.
-	Txs int `json:"txs"`
-	// Skew is the Zipf s-parameter of account/contract popularity:
-	// 0 is uniform, ~1 matches mainnet account skew, larger values
-	// concentrate traffic on ever-fewer hot entities.
-	Skew float64 `json:"skew,omitempty"`
-	// Seed drives the generator's deterministic randomness.
-	Seed int64 `json:"seed"`
-	// Accounts sizes the funded account pool; 0 means 4×Txs+64.
-	Accounts int `json:"accounts,omitempty"`
-}
-
-// Validate rejects scenario specs no generator can honour. Skew must be
-// finite: NaN would silently corrupt every CDF the sampler builds.
-func (s ScenarioSpec) Validate() error {
-	known := false
-	for _, n := range Scenarios {
-		if s.Scenario == n {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("workload: unknown scenario %q (valid: %s)", s.Scenario, strings.Join(Scenarios, ", "))
-	}
-	if s.Blocks < 1 {
-		return fmt.Errorf("workload: scenario needs at least one block, got %d", s.Blocks)
-	}
-	if s.Txs < 1 {
-		return fmt.Errorf("workload: scenario needs at least one transaction per block, got %d", s.Txs)
-	}
-	if math.IsNaN(s.Skew) || math.IsInf(s.Skew, 0) || s.Skew < 0 || s.Skew > 8 {
-		return fmt.Errorf("workload: scenario skew %v outside [0,8]", s.Skew)
-	}
-	if s.Accounts < 0 {
-		return fmt.Errorf("workload: negative scenario account pool %d", s.Accounts)
-	}
-	return nil
-}
-
-// AccountPool resolves the effective account-pool size.
-func (s ScenarioSpec) AccountPool() int {
-	if s.Accounts > 0 {
-		return s.Accounts
-	}
-	return 4*s.Txs + 64
-}
-
-// String renders the spec in the flag shorthand ParseScenarioSpec
-// accepts.
-func (s ScenarioSpec) String() string {
-	out := fmt.Sprintf("scenario=%s,blocks=%d,txs=%d,skew=%g,seed=%d", s.Scenario, s.Blocks, s.Txs, s.Skew, s.Seed)
-	if s.Accounts > 0 {
-		out += fmt.Sprintf(",accounts=%d", s.Accounts)
-	}
-	return out
-}
-
-// Describe renders the ledger-key fragment identifying this workload.
-func (s ScenarioSpec) Describe() string {
-	return fmt.Sprintf("%s-blocks%d-txs%d-skew%.2f", s.Scenario, s.Blocks, s.Txs, s.Skew)
-}
-
-// ParseScenarioSpec decodes a scenario spec from either strict JSON
-// (`{"scenario":"dex","blocks":500,"txs":64,"skew":1.2,"seed":1}`) or
-// the flag shorthand `scenario=dex,blocks=500,txs=64,skew=1.2,seed=1`
-// (keys optional except scenario, defaults applied), then validates it.
-func ParseScenarioSpec(text string) (ScenarioSpec, error) {
-	s := ScenarioSpec{Blocks: 100, Txs: 64, Skew: 1.0, Seed: 1}
-	text = strings.TrimSpace(text)
-	if strings.HasPrefix(text, "{") {
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return ScenarioSpec{}, fmt.Errorf("workload: decoding scenario spec: %w", err)
-		}
-		return s, s.Validate()
-	}
-	for _, kv := range strings.Split(text, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return ScenarioSpec{}, fmt.Errorf("workload: scenario spec field %q is not key=value", kv)
-		}
-		var err error
-		switch key {
-		case "scenario":
-			s.Scenario = val
-		case "blocks":
-			s.Blocks, err = strconv.Atoi(val)
-		case "txs":
-			s.Txs, err = strconv.Atoi(val)
-		case "skew":
-			s.Skew, err = strconv.ParseFloat(val, 64)
-		case "seed":
-			s.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "accounts":
-			s.Accounts, err = strconv.Atoi(val)
-		default:
-			return ScenarioSpec{}, fmt.Errorf("workload: unknown scenario spec key %q (valid: scenario, blocks, txs, skew, seed, accounts)", key)
-		}
-		if err != nil {
-			return ScenarioSpec{}, fmt.Errorf("workload: scenario spec %s=%q: %w", key, val, err)
-		}
-	}
-	return s, s.Validate()
-}
-
-// BlockSource is a chained block producer: Genesis is the chain's
-// pre-state, and Next yields blocks that are only valid executed in
-// order against the evolving state. *Stream and *ScenarioStream both
-// implement it, so the stream service and the difftest harness consume
-// either through one seam.
-type BlockSource interface {
-	// Genesis returns the chain's pre-state (read-only; copy before
-	// mutating).
-	Genesis() *state.StateDB
-	// Next produces the chain's next block, or (nil, false) at the end.
-	Next() (*types.Block, bool)
-	// Remaining reports how many blocks Next will still produce.
-	Remaining() int
-}
-
-// SourceSpec is the spec face of a BlockSource: both StreamSpec and
-// ScenarioSpec satisfy it, so `mtpu-serve -source` accepts either form.
-type SourceSpec interface {
-	Validate() error
-	// OpenSource builds the spec's block source.
-	OpenSource() (BlockSource, error)
-	// Describe renders the stable ledger-key fragment identifying the
-	// workload (no seed, no account pool — runs with different seeds of
-	// one shape compare under one key).
-	Describe() string
-	// String renders the spec in its parseable shorthand.
-	String() string
-}
-
-// OpenSource satisfies SourceSpec.
-func (s ScenarioSpec) OpenSource() (BlockSource, error) { return s.Open() }
-
-// ParseSourceSpec decodes either spec form, dispatching on the presence
-// of a scenario key: `scenario=dex,...` (or JSON with a "scenario"
-// field) parses as a ScenarioSpec, everything else as a StreamSpec.
-func ParseSourceSpec(text string) (SourceSpec, error) {
-	t := strings.TrimSpace(text)
-	if strings.HasPrefix(t, "{") {
-		var probe struct {
-			Scenario *string `json:"scenario"`
-		}
-		if err := json.Unmarshal([]byte(t), &probe); err == nil && probe.Scenario != nil {
-			return ParseScenarioSpec(text)
-		}
-		return ParseStreamSpec(text)
-	}
-	for _, kv := range strings.Split(t, ",") {
-		if key, _, ok := strings.Cut(strings.TrimSpace(kv), "="); ok && key == "scenario" {
-			return ParseScenarioSpec(text)
-		}
-	}
-	return ParseStreamSpec(text)
-}
-
-// ScenarioStream generates the spec's blocks one at a time. Like
-// Stream it is a chain — one beginBlock for the whole stream, nonces
-// and resource cursors carrying across Next calls — and is not safe for
-// concurrent use.
-type ScenarioStream struct {
-	spec    ScenarioSpec
-	gen     *Generator
-	genesis *state.StateDB
-	pairs   []*contracts.Contract
-	oracle  *contracts.Contract
-	emit    func() *types.Transaction
-	count   int
-	next    int
-}
-
-// Open validates the spec, deploys and seeds any scenario-specific
-// contracts on top of the standard genesis, and binds the scenario's
-// transaction emitter.
-func (s ScenarioSpec) Open() (*ScenarioStream, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	g := NewGenerator(s.Seed, s.AccountPool())
-	st := &ScenarioStream{spec: s, gen: g}
-	// Extra contracts register before Genesis so DeployAll installs
-	// them; their storage seeding runs on the genesis state afterwards,
-	// exactly like the standard contracts' seeding inside Genesis.
-	switch s.Scenario {
-	case "dex":
-		for i := 0; i < dexPairs; i++ {
-			p := contracts.NewDEXPair(i)
-			st.pairs = append(st.pairs, p)
-			g.AddContract(p)
-		}
-	case "oracle":
-		st.oracle = contracts.NewPriceOracle()
-		g.AddContract(st.oracle)
-	}
-	st.genesis = g.Genesis()
-	switch s.Scenario {
-	case "dex":
-		for _, p := range st.pairs {
-			contracts.SeedRouter(st.genesis, p, g.accounts, seedTokenBalance, 1<<44)
-		}
-	case "oracle":
-		contracts.SeedOracleFeeds(st.genesis, st.oracle, oracleFeeds, 1000)
-	}
-	// One beginBlock for the whole stream: nonces, balances and cursors
-	// then carry across Next calls, producing a chained block sequence.
-	g.beginBlock()
-	st.bind()
-	return st, nil
-}
-
-// Genesis returns the chain's pre-state (read-only; copy before
-// mutating).
-func (st *ScenarioStream) Genesis() *state.StateDB { return st.genesis }
-
-// Spec returns the stream's recipe.
-func (st *ScenarioStream) Spec() ScenarioSpec { return st.spec }
-
-// Remaining reports how many blocks Next will still produce.
-func (st *ScenarioStream) Remaining() int { return st.spec.Blocks - st.next }
-
-// Next produces the chain's next block, or (nil, false) once Blocks
-// blocks have been produced. Blocks are emitted without a conflict DAG:
-// deriving it is the prefetch/decode stage's job, exactly as a block
-// arriving over the network would be handled.
-func (st *ScenarioStream) Next() (*types.Block, bool) {
-	if st.next >= st.spec.Blocks {
-		return nil, false
-	}
-	header := st.gen.Header()
-	header.Height += uint64(st.next)
-	txs := make([]*types.Transaction, 0, st.spec.Txs)
-	for i := 0; i < st.spec.Txs; i++ {
-		txs = append(txs, st.emit())
-	}
-	block := types.NewBlock(header, txs)
-	block.DAG = nil
-	st.next++
-	return block, true
-}
-
-// bind installs the scenario's transaction emitter. All Zipf CDFs are
-// built here once; sampling draws only on the generator's seeded rng,
-// so the stream is a pure function of the spec.
-func (st *ScenarioStream) bind() {
+// bind installs the kind's transaction emitter. The token chain's
+// emitter generates a whole block of dependent-ratio transfers (its
+// dependency chains restart every block); a scenario's emits
+// transactions one at a time. All Zipf CDFs are built here once;
+// sampling draws only on the generator's seeded rng, so the stream is a
+// pure function of the spec.
+func (st *Stream) bind() {
 	g := st.gen
+	if st.spec.Kind == "token" {
+		st.emit = func(n int) []*types.Transaction { return g.tokenTxs(n, st.spec.Dep) }
+		return
+	}
+	var emit func() *types.Transaction
+	st.emit = func(n int) []*types.Transaction {
+		txs := make([]*types.Transaction, 0, n)
+		for i := 0; i < n; i++ {
+			txs = append(txs, emit())
+		}
+		return txs
+	}
 	zAcct := newZipf(len(g.accounts), st.spec.Skew)
 	// account draws a Zipf-ranked account; hot rank 0 is g.accounts[0].
 	account := func() types.Address { return g.accounts[zAcct.sample(g.rng)] }
@@ -320,10 +66,10 @@ func (st *ScenarioStream) bind() {
 	// the Zipf-hot low ranks.
 	tail := func(i int) types.Address { return g.accounts[len(g.accounts)-1-i] }
 
-	switch st.spec.Scenario {
+	switch st.spec.Kind {
 	case "erc20-mix":
 		zTok := newZipf(len(tokenNames), st.spec.Skew)
-		st.emit = func() *types.Transaction {
+		emit = func() *types.Transaction {
 			token := g.Contract(tokenNames[zTok.sample(g.rng)])
 			from := account()
 			ti := zAcct.sample(g.rng)
@@ -335,7 +81,7 @@ func (st *ScenarioStream) bind() {
 
 	case "dex":
 		zPair := newZipf(dexPairs, st.spec.Skew)
-		st.emit = func() *types.Transaction {
+		emit = func() *types.Transaction {
 			pair := st.pairs[zPair.sample(g.rng)]
 			from := account()
 			st.count++
@@ -351,7 +97,7 @@ func (st *ScenarioStream) bind() {
 
 	case "nft-mint":
 		market := g.Contract("OpenSea")
-		st.emit = func() *types.Transaction {
+		emit = func() *types.Transaction {
 			from := account()
 			st.count++
 			if st.count%7 == 0 {
@@ -366,7 +112,7 @@ func (st *ScenarioStream) bind() {
 	case "airdrop":
 		zDist := newZipf(airdropDistributors, st.spec.Skew)
 		zTok := newZipf(len(tokenNames), st.spec.Skew)
-		st.emit = func() *types.Transaction {
+		emit = func() *types.Transaction {
 			from := tail(zDist.sample(g.rng))
 			token := g.Contract(tokenNames[zTok.sample(g.rng)])
 			if g.rng.Float64() < 0.7 {
@@ -379,7 +125,7 @@ func (st *ScenarioStream) bind() {
 	case "oracle":
 		zFeed := newZipf(oracleFeeds, st.spec.Skew)
 		zPoster := newZipf(oraclePosters, st.spec.Skew)
-		st.emit = func() *types.Transaction {
+		emit = func() *types.Transaction {
 			feed := uint64(zFeed.sample(g.rng))
 			if g.rng.Float64() < 0.3 {
 				return g.call(tail(zPoster.sample(g.rng)), st.oracle, 0,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mtpu/internal/types"
@@ -12,69 +13,72 @@ import (
 func TestParseScenarioSpec(t *testing.T) {
 	cases := []struct {
 		in   string
-		want ScenarioSpec
+		want Spec
 	}{
-		{"scenario=dex", ScenarioSpec{Scenario: "dex", Blocks: 100, Txs: 64, Skew: 1.0, Seed: 1}},
-		{"scenario=erc20-mix,blocks=500,txs=32", ScenarioSpec{Scenario: "erc20-mix", Blocks: 500, Txs: 32, Skew: 1.0, Seed: 1}},
+		{"scenario=dex", Spec{Kind: "dex", Blocks: 100, Txs: 64, Skew: 1.0, Seed: 1}},
+		{"scenario=erc20-mix,blocks=500,txs=32", Spec{Kind: "erc20-mix", Blocks: 500, Txs: 32, Skew: 1.0, Seed: 1}},
 		{"scenario=oracle,blocks=8,txs=4,skew=0.9,seed=42,accounts=100",
-			ScenarioSpec{Scenario: "oracle", Blocks: 8, Txs: 4, Skew: 0.9, Seed: 42, Accounts: 100}},
-		// JSON decoding starts from the same defaults the shorthand uses,
-		// so absent keys (skew here) keep their default.
-		{`{"scenario":"nft-mint","blocks":5,"txs":10,"seed":2}`,
-			ScenarioSpec{Scenario: "nft-mint", Blocks: 5, Txs: 10, Skew: 1.0, Seed: 2}},
-		{`{"scenario":"airdrop","blocks":3,"txs":6,"skew":0,"seed":9}`,
-			ScenarioSpec{Scenario: "airdrop", Blocks: 3, Txs: 6, Skew: 0, Seed: 9}},
+			Spec{Kind: "oracle", Blocks: 8, Txs: 4, Skew: 0.9, Seed: 42, Accounts: 100}},
+		// Keys may come in any order; the scenario key picks the defaults.
+		{"txs=10,scenario=nft-mint,blocks=5,seed=2",
+			Spec{Kind: "nft-mint", Blocks: 5, Txs: 10, Skew: 1.0, Seed: 2}},
+		{`{"kind":"airdrop","blocks":3,"txs":6,"seed":9}`,
+			Spec{Kind: "airdrop", Blocks: 3, Txs: 6, Skew: 0, Seed: 9}},
 	}
 	for _, c := range cases {
-		got, err := ParseScenarioSpec(c.in)
+		got, err := ParseSpec(c.in)
 		if err != nil {
-			t.Errorf("ParseScenarioSpec(%q): %v", c.in, err)
+			t.Errorf("ParseSpec(%q): %v", c.in, err)
 			continue
 		}
-		if got != c.want {
-			t.Errorf("ParseScenarioSpec(%q) = %+v, want %+v", c.in, got, c.want)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
 
 	bad := []string{
-		"", "scenario=bogus", "scenario=dex,blocks=0", "scenario=dex,txs=-1",
+		"scenario=bogus", "scenario=token", "scenario=dex,blocks=0", "scenario=dex,txs=-1",
 		"scenario=dex,skew=-0.1", "scenario=dex,skew=9", "scenario=dex,accounts=-1",
 		"scenario=dex,nope=1", "scenario", "scenario=dex,blocks=x",
+		"scenario=dex,dep=0.3", // scenarios read no dep
 		// Non-finite skew must not slip past Validate's range check.
 		"scenario=dex,skew=NaN", "scenario=dex,skew=+Inf", "scenario=dex,skew=-Inf",
-		`{"scenario":"dex","nope":1}`, `{"scenario":"dex","blocks":0}`, `{"blocks":5}`,
+		// Generators that draw fixed roles from the pool's tail.
+		"scenario=airdrop,blocks=2,txs=8,accounts=5", "scenario=oracle,accounts=7",
+		`{"kind":"dex","nope":1}`, `{"kind":"dex","txs":4}`, `{"scenario":"dex","blocks":4}`,
 	}
 	for _, in := range bad {
-		if _, err := ParseScenarioSpec(in); err == nil {
-			t.Errorf("ParseScenarioSpec(%q) accepted invalid spec", in)
+		if _, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) accepted invalid spec", in)
 		}
 	}
 }
 
 func TestScenarioSpecRoundTrip(t *testing.T) {
-	spec := ScenarioSpec{Scenario: "dex", Blocks: 7, Txs: 9, Skew: 1.25, Seed: 13, Accounts: 80}
-	got, err := ParseScenarioSpec(spec.String())
+	spec := Spec{Kind: "dex", Blocks: 7, Txs: 9, Skew: 1.25, Seed: 13, Accounts: 80}
+	got, err := ParseSpec(spec.String())
 	if err != nil {
 		t.Fatalf("reparsing %q: %v", spec.String(), err)
 	}
-	if got != spec {
+	if !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip %q = %+v, want %+v", spec.String(), got, spec)
 	}
 }
 
-// TestParseSourceSpec proves the dispatch seam: a scenario key (in
-// either form) selects ScenarioSpec, anything else the legacy
-// StreamSpec, so `mtpu-serve -source` accepts both transparently.
+// TestParseSourceSpec proves the one grammar: a scenario key selects a
+// scenario kind, anything else the token chain, and the JSON form names
+// its kind — so `mtpu-serve -source` accepts every chained spec through
+// the benchmark's ParseSourceSpec name.
 func TestParseSourceSpec(t *testing.T) {
 	cases := []struct {
-		in       string
-		scenario bool
+		in   string
+		kind string
 	}{
-		{"scenario=dex,blocks=4", true},
-		{`{"scenario":"oracle","blocks":4,"txs":8,"seed":3}`, true},
-		{"blocks=4,txs=8", false},
-		{`{"blocks":4,"txs":8,"seed":3}`, false},
-		{"", false},
+		{"scenario=dex,blocks=4", "dex"},
+		{`{"kind":"oracle","blocks":4,"txs":8,"seed":3}`, "oracle"},
+		{"blocks=4,txs=8", "token"},
+		{`{"kind":"token","blocks":4,"txs":8,"seed":3}`, "token"},
+		{"", "token"},
 	}
 	for _, c := range cases {
 		got, err := ParseSourceSpec(c.in)
@@ -82,12 +86,11 @@ func TestParseSourceSpec(t *testing.T) {
 			t.Errorf("ParseSourceSpec(%q): %v", c.in, err)
 			continue
 		}
-		_, isScenario := got.(ScenarioSpec)
-		if isScenario != c.scenario {
-			t.Errorf("ParseSourceSpec(%q) = %T, want scenario=%v", c.in, got, c.scenario)
+		if got.Kind != c.kind {
+			t.Errorf("ParseSourceSpec(%q) kind %q, want %q", c.in, got.Kind, c.kind)
 		}
 	}
-	bad := []string{"scenario=bogus", "blocks=0", `{"scenario":"dex","blocks":0}`}
+	bad := []string{"scenario=bogus", "blocks=0", `{"kind":"dex","blocks":0,"txs":4}`}
 	for _, in := range bad {
 		if _, err := ParseSourceSpec(in); err == nil {
 			t.Errorf("ParseSourceSpec(%q) accepted invalid spec", in)
@@ -102,23 +105,23 @@ func TestScenarioDeterminism(t *testing.T) {
 	for _, name := range Scenarios {
 		t.Run(name, func(t *testing.T) {
 			shorthand := fmt.Sprintf("scenario=%s,blocks=4,txs=12,skew=1.2,seed=7", name)
-			jsonForm := fmt.Sprintf(`{"scenario":%q,"blocks":4,"txs":12,"skew":1.2,"seed":7}`, name)
-			sa, err := ParseScenarioSpec(shorthand)
+			jsonForm := fmt.Sprintf(`{"kind":%q,"blocks":4,"txs":12,"skew":1.2,"seed":7}`, name)
+			sa, err := ParseSpec(shorthand)
 			if err != nil {
 				t.Fatalf("parse shorthand: %v", err)
 			}
-			sb, err := ParseScenarioSpec(jsonForm)
+			sb, err := ParseSpec(jsonForm)
 			if err != nil {
 				t.Fatalf("parse JSON: %v", err)
 			}
-			if sa != sb {
+			if !reflect.DeepEqual(sa, sb) {
 				t.Fatalf("spec forms disagree: %+v vs %+v", sa, sb)
 			}
-			a, err := sa.Open()
+			a, err := sa.OpenSource()
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			b, err := sb.Open()
+			b, err := sb.OpenSource()
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -146,9 +149,6 @@ func TestScenarioDeterminism(t *testing.T) {
 			if _, ok := a.Next(); ok {
 				t.Fatal("stream produced more blocks than the spec asked for")
 			}
-			if a.Remaining() != 0 {
-				t.Fatalf("Remaining() = %d after exhaustion", a.Remaining())
-			}
 		})
 	}
 }
@@ -160,8 +160,8 @@ func TestScenarioDeterminism(t *testing.T) {
 func TestScenarioChainsExecute(t *testing.T) {
 	for _, name := range Scenarios {
 		t.Run(name, func(t *testing.T) {
-			spec := ScenarioSpec{Scenario: name, Blocks: 3, Txs: 16, Skew: 1.2, Seed: 5}
-			st, err := spec.Open()
+			spec := Spec{Kind: name, Blocks: 3, Txs: 16, Skew: 1.2, Seed: 5}
+			st, err := spec.OpenSource()
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -216,8 +216,8 @@ func TestZipfSampler(t *testing.T) {
 // configured skew: the hottest 1% of the account pool sends the
 // analytic Zipf share of erc20-mix transactions, within tolerance.
 func TestScenarioZipfSkew(t *testing.T) {
-	spec := ScenarioSpec{Scenario: "erc20-mix", Blocks: 50, Txs: 64, Skew: 1.2, Seed: 11}
-	st, err := spec.Open()
+	spec := Spec{Kind: "erc20-mix", Blocks: 50, Txs: 64, Skew: 1.2, Seed: 11}
+	st, err := spec.OpenSource()
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -248,7 +248,8 @@ func TestScenarioZipfSkew(t *testing.T) {
 
 // TestSpecValidateNonFinite pins the Validate bugfix: NaN slipped past
 // `Dep < 0 || Dep > 1` (both comparisons are false for NaN) in Spec and
-// StreamSpec alike, and ±Inf passes one bound each.
+// in single-block and chained specs alike, and ±Inf passes one bound
+// each.
 func TestSpecValidateNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := (Spec{Kind: "token", Txs: 4, Seed: 1, Dep: v}).Validate(); err == nil {
@@ -257,20 +258,20 @@ func TestSpecValidateNonFinite(t *testing.T) {
 		if err := (Spec{Kind: "sct", Txs: 4, Seed: 1, Share: v}).Validate(); err == nil {
 			t.Errorf("Spec.Validate accepted Share=%v", v)
 		}
-		if err := (StreamSpec{Blocks: 2, Txs: 4, Seed: 1, Dep: v}).Validate(); err == nil {
-			t.Errorf("StreamSpec.Validate accepted Dep=%v", v)
+		if err := (Spec{Kind: "token", Blocks: 2, Txs: 4, Seed: 1, Dep: v}).Validate(); err == nil {
+			t.Errorf("Spec.Validate accepted chained Dep=%v", v)
 		}
 	}
 	// The flag shorthand reaches Validate with these values because
 	// strconv.ParseFloat accepts "NaN" and "±Inf" spellings.
 	for _, in := range []string{"dep=NaN", "dep=+Inf", "dep=-Inf", "dep=Inf"} {
-		if _, err := ParseStreamSpec(in); err == nil {
-			t.Errorf("ParseStreamSpec(%q) accepted non-finite dep", in)
+		if _, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) accepted non-finite dep", in)
 		}
 	}
 	// JSON cannot express NaN/Inf literals, so the strict decoder already
 	// rejects them at the syntax layer — pin that too.
-	if _, err := ParseStreamSpec(`{"blocks":2,"txs":4,"dep":NaN,"seed":1}`); err == nil {
+	if _, err := ParseSpec(`{"kind":"token","blocks":2,"txs":4,"dep":NaN,"seed":1}`); err == nil {
 		t.Error("JSON NaN literal decoded")
 	}
 }

@@ -19,9 +19,16 @@ func generate(t *testing.T, s Spec) *types.Block {
 }
 
 func TestSpecValidate(t *testing.T) {
-	good := Spec{Kind: "token", Txs: 8, Dep: 0.5, Seed: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	for _, good := range []Spec{
+		{Kind: "token", Txs: 8, Dep: 0.5, Seed: 1},
+		{Kind: "token", Blocks: 3, Txs: 8, Dep: 0.5, Seed: 1},
+		{Kind: "dex", Blocks: 2, Txs: 8, Skew: 1.2},
+		{Kind: "airdrop", Blocks: 2, Txs: 8, Accounts: airdropDistributors},
+		{Kind: "mixed", Txs: 8, Accounts: 2},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid spec %s rejected: %v", good, err)
+		}
 	}
 	bad := []Spec{
 		{Kind: "warp", Txs: 8, Seed: 1},
@@ -33,6 +40,20 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: "token", Txs: 8, Seed: 1, Drop: []int{8}},
 		{Kind: "token", Txs: 8, Seed: 1, Drop: []int{1, 1}},
 		{Kind: "token", Txs: 2, Seed: 1, Drop: []int{0, 1}},
+		{Kind: "batch", Txs: 4, Contract: "Nope"},          // unknown contract
+		{Kind: "mixed", Txs: 8, Accounts: 1},               // voters need two accounts
+		{Kind: "erc20", Txs: 8, Share: 0.5, Accounts: 1},   // likewise
+		{Kind: "airdrop", Blocks: 2, Txs: 8, Accounts: 5},  // eight distributors
+		{Kind: "oracle", Blocks: 2, Txs: 8, Accounts: 7},   // eight posters
+		{Kind: "mixed", Blocks: 2, Txs: 8},                 // a single-block kind
+		{Kind: "dex", Txs: 8, Skew: 1},                     // a scenario is a chain
+		{Kind: "token", Blocks: -1, Txs: 8},                // negative chain
+		{Kind: "token", Blocks: 2, Txs: 8, Drop: []int{1}}, // chains have no drops
+		{Kind: "dex", Blocks: 2, Txs: 8, Dep: 0.3},         // a knob the kind ignores
+		{Kind: "token", Blocks: 2, Txs: 8, Skew: 1},        // likewise
+		{Kind: "sct", Txs: 8, Dep: 0.5},                    // likewise
+		{Kind: "token", Txs: 8, Contract: "Dai"},           // likewise
+		{Kind: "dex", Blocks: 2, Txs: 8, Skew: 9},          // skew above 8
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -47,7 +68,7 @@ func TestSpecParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseSpec(buf)
+	out, err := ParseSpec(string(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +76,18 @@ func TestSpecParseRoundTrip(t *testing.T) {
 		out.Contract != in.Contract || len(out.Drop) != 2 {
 		t.Fatalf("round trip changed the spec: %s -> %s", in, out)
 	}
-	if _, err := ParseSpec([]byte(`{"kind":"token","txs":8,"seed":1,"warp":9}`)); err == nil {
+	if out.String() != string(buf) {
+		t.Errorf("single-block String() = %s, want the canonical JSON %s", out, buf)
+	}
+	if _, err := ParseSpec(`{"kind":"token","txs":8,"seed":1,"warp":9}`); err == nil {
 		t.Error("unknown field accepted")
+	}
+	// The layouts of the retired stream and scenario recipe types carry
+	// no kind and are rejected by the strict decoder.
+	for _, old := range []string{`{"blocks":5,"txs":10,"seed":2}`, `{"scenario":"dex","blocks":3,"txs":6,"seed":9}`} {
+		if _, err := ParseSpec(old); err == nil {
+			t.Errorf("old layout %s accepted", old)
+		}
 	}
 }
 

@@ -1,151 +1,69 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
+	"mtpu/internal/contracts"
 	"mtpu/internal/state"
 	"mtpu/internal/types"
 )
 
-// StreamSpec is a serializable recipe for a block stream: Blocks
-// consecutive token blocks of Txs transactions each at dependent ratio
-// Dep, deterministically derived from Seed. It feeds `mtpu-serve
-// -source` and the stream unit tests — the block-stream face of the
-// same generator machinery Spec exposes for single blocks.
-//
-// The stream is a chain: account nonces and balances carry over from
-// block to block (exactly like Generator.ChainBlocks), so block N+1 is
-// only valid against the state block N left behind — the validator-node
-// scenario the service's multi-version state layer serves. Given one
-// Seed, the whole chain is deterministic, whether expressed as JSON or
-// flag shorthand.
-type StreamSpec struct {
-	// Blocks is the stream length.
-	Blocks int `json:"blocks"`
-	// Txs is the per-block transaction count.
-	Txs int `json:"txs"`
-	// Dep is the target dependent-transaction ratio per block.
-	Dep float64 `json:"dep,omitempty"`
-	// Seed drives the generator's deterministic randomness.
-	Seed int64 `json:"seed"`
-	// Accounts sizes the funded account pool; 0 means 4×Txs+64.
-	Accounts int `json:"accounts,omitempty"`
-}
-
-// Validate rejects stream specs no generator can honour.
-func (s StreamSpec) Validate() error {
-	if s.Blocks < 1 {
-		return fmt.Errorf("workload: stream needs at least one block, got %d", s.Blocks)
-	}
-	if s.Txs < 1 {
-		return fmt.Errorf("workload: stream needs at least one transaction per block, got %d", s.Txs)
-	}
-	if math.IsNaN(s.Dep) || math.IsInf(s.Dep, 0) || s.Dep < 0 || s.Dep > 1 {
-		// Comparisons alone let NaN through: both bounds checks are
-		// false for it, and the flag shorthand reaches here via
-		// ParseFloat("NaN", 64).
-		return fmt.Errorf("workload: stream dep ratio %v outside [0,1]", s.Dep)
-	}
-	if s.Accounts < 0 {
-		return fmt.Errorf("workload: negative stream account pool %d", s.Accounts)
-	}
-	return nil
-}
-
-// AccountPool resolves the effective account-pool size.
-func (s StreamSpec) AccountPool() int {
-	if s.Accounts > 0 {
-		return s.Accounts
-	}
-	return 4*s.Txs + 64
-}
-
-// String renders the spec in the flag shorthand ParseStreamSpec accepts.
-func (s StreamSpec) String() string {
-	out := fmt.Sprintf("blocks=%d,txs=%d,dep=%g,seed=%d", s.Blocks, s.Txs, s.Dep, s.Seed)
-	if s.Accounts > 0 {
-		out += fmt.Sprintf(",accounts=%d", s.Accounts)
-	}
-	return out
-}
-
-// Describe renders the ledger-key fragment identifying this workload.
-func (s StreamSpec) Describe() string {
-	return fmt.Sprintf("blocks%d-txs%d-dep%.2f", s.Blocks, s.Txs, s.Dep)
-}
-
-// OpenSource satisfies SourceSpec.
-func (s StreamSpec) OpenSource() (BlockSource, error) { return s.Open() }
-
-// ParseStreamSpec decodes a stream spec from either strict JSON
-// (`{"blocks":500,"txs":64,"dep":0.3,"seed":1}`) or the flag shorthand
-// `blocks=500,txs=64,dep=0.3,seed=1` (keys optional, defaults applied),
-// then validates it.
-func ParseStreamSpec(text string) (StreamSpec, error) {
-	s := StreamSpec{Blocks: 100, Txs: 64, Dep: 0.3, Seed: 1}
-	text = strings.TrimSpace(text)
-	if strings.HasPrefix(text, "{") {
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return StreamSpec{}, fmt.Errorf("workload: decoding stream spec: %w", err)
-		}
-		return s, s.Validate()
-	}
-	for _, kv := range strings.Split(text, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return StreamSpec{}, fmt.Errorf("workload: stream spec field %q is not key=value", kv)
-		}
-		var err error
-		switch key {
-		case "blocks":
-			s.Blocks, err = strconv.Atoi(val)
-		case "txs":
-			s.Txs, err = strconv.Atoi(val)
-		case "dep":
-			s.Dep, err = strconv.ParseFloat(val, 64)
-		case "seed":
-			s.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "accounts":
-			s.Accounts, err = strconv.Atoi(val)
-		default:
-			return StreamSpec{}, fmt.Errorf("workload: unknown stream spec key %q (valid: blocks, txs, dep, seed, accounts)", key)
-		}
-		if err != nil {
-			return StreamSpec{}, fmt.Errorf("workload: stream spec %s=%q: %w", key, val, err)
-		}
-	}
-	return s, s.Validate()
-}
-
-// Stream generates the spec's blocks one at a time. It is not safe for
-// concurrent use; a pipeline's single ingest producer pulls from it.
+// Stream generates a chained spec's blocks one at a time: one
+// beginBlock for the whole stream, so nonces, balances and resource
+// cursors carry across Next calls. It is not safe for concurrent use; a
+// pipeline's single ingest producer pulls from it.
 type Stream struct {
-	spec    StreamSpec
+	spec    Spec
 	gen     *Generator
 	genesis *state.StateDB
-	next    int
+	pairs   []*contracts.Contract
+	oracle  *contracts.Contract
+	// emit generates one block's n transactions.
+	emit  func(n int) []*types.Transaction
+	count int
+	next  int
 }
 
-// Open validates the spec and builds its generator and genesis.
-func (s StreamSpec) Open() (*Stream, error) {
+// OpenSource validates a chained spec, deploys and seeds any
+// scenario-specific contracts on top of the standard genesis, and binds
+// the kind's transaction emitter.
+func (s Spec) OpenSource() (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if s.Blocks < 1 {
+		return nil, fmt.Errorf("workload: %s is a single block; a stream needs at least one block", s)
+	}
 	g := NewGenerator(s.Seed, s.AccountPool())
-	// One beginBlock for the whole stream: nonces and balances then
-	// carry across Next calls, producing a chained block sequence.
+	st := &Stream{spec: s, gen: g}
+	// Extra contracts register before Genesis so DeployAll installs
+	// them; their storage seeding runs on the genesis state afterwards,
+	// exactly like the standard contracts' seeding inside Genesis.
+	switch s.Kind {
+	case "dex":
+		for i := 0; i < dexPairs; i++ {
+			p := contracts.NewDEXPair(i)
+			st.pairs = append(st.pairs, p)
+			g.AddContract(p)
+		}
+	case "oracle":
+		st.oracle = contracts.NewPriceOracle()
+		g.AddContract(st.oracle)
+	}
+	st.genesis = g.Genesis()
+	switch s.Kind {
+	case "dex":
+		for _, p := range st.pairs {
+			contracts.SeedRouter(st.genesis, p, g.accounts, seedTokenBalance, 1<<44)
+		}
+	case "oracle":
+		contracts.SeedOracleFeeds(st.genesis, st.oracle, oracleFeeds, 1000)
+	}
+	// One beginBlock for the whole stream: nonces, balances and cursors
+	// then carry across Next calls, producing a chained block sequence.
 	g.beginBlock()
-	return &Stream{spec: s, gen: g, genesis: g.Genesis()}, nil
+	st.bind()
+	return st, nil
 }
 
 // Genesis returns the chain's pre-state: block 1 executes against it,
@@ -153,25 +71,18 @@ func (s StreamSpec) Open() (*Stream, error) {
 // copy before mutating).
 func (st *Stream) Genesis() *state.StateDB { return st.genesis }
 
-// Spec returns the stream's recipe.
-func (st *Stream) Spec() StreamSpec { return st.spec }
-
-// Remaining reports how many blocks Next will still produce.
-func (st *Stream) Remaining() int { return st.spec.Blocks - st.next }
-
 // Next produces the chain's next block, or (nil, false) once Blocks
-// blocks have been produced. Nonces and balances continue from the
-// previous block, so blocks are only valid executed in order against
-// evolving state. Blocks are emitted without a conflict DAG: deriving
-// it (along with traces and plans) is the prefetch/decode stage's job,
-// exactly as a block arriving over the network would be handled.
+// blocks have been produced. Blocks are emitted without a conflict DAG:
+// deriving it (along with traces and plans) is the prefetch/decode
+// stage's job, exactly as a block arriving over the network would be
+// handled.
 func (st *Stream) Next() (*types.Block, bool) {
 	if st.next >= st.spec.Blocks {
 		return nil, false
 	}
 	header := st.gen.Header()
 	header.Height += uint64(st.next)
-	block := types.NewBlock(header, st.gen.tokenTxs(st.spec.Txs, st.spec.Dep))
+	block := types.NewBlock(header, st.emit(st.spec.Txs))
 	block.DAG = nil
 	st.next++
 	return block, true

@@ -216,22 +216,6 @@ func (g *Generator) TokenBlock(n int, depRatio float64) *types.Block {
 	return types.NewBlock(g.Header(), g.tokenTxs(n, depRatio))
 }
 
-// ChainBlocks builds numBlocks consecutive token blocks forming a chain:
-// account nonces and balances carry over, so the blocks must be executed
-// in order against an evolving state — the validator-node scenario in
-// which the Contract Table learned during one block interval accelerates
-// the next block (§3.4, §2.2.4).
-func (g *Generator) ChainBlocks(numBlocks, txsPerBlock int, depRatio float64) []*types.Block {
-	g.beginBlock()
-	blocks := make([]*types.Block, numBlocks)
-	for b := 0; b < numBlocks; b++ {
-		header := g.Header()
-		header.Height += uint64(b)
-		blocks[b] = types.NewBlock(header, g.tokenTxs(txsPerBlock, depRatio))
-	}
-	return blocks
-}
-
 // tokenTxs generates token transfers without resetting block bookkeeping.
 func (g *Generator) tokenTxs(n int, depRatio float64) []*types.Transaction {
 	type use struct {
