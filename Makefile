@@ -26,8 +26,9 @@ race:
 # assembler/disassembler round trips, the RLP and consensus-type
 # decoders, the multi-version memory against its sequential oracle, the
 # buffered state view against the journaled StateDB, the incremental
-# state digest against the from-scratch sum, and the indexed
-# conflict-DAG builder against the pairwise one.
+# state digest against the from-scratch sum, the indexed
+# conflict-DAG builder against the pairwise one, and the scheduler's
+# ready-list window refill against the full-scan rule.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzDisassemble -fuzztime $(FUZZTIME)
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzViewVsStateDB -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mvstate -run '^$$' -fuzz FuzzDigestIncremental -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/state -run '^$$' -fuzz FuzzConflictDAG -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzRefillVsScan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/arch -run '^$$' -fuzz FuzzSymbolTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -run '^$$' -fuzz FuzzDiffEngines -fuzztime $(FUZZTIME)
 

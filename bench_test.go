@@ -391,6 +391,42 @@ func BenchmarkPrepareBlock192(b *testing.B) {
 	b.ReportMetric(float64(edges)/float64(len(blocks[0].Transactions)), "dag_edges/tx")
 }
 
+// replayBench measures one engine's replay of the first erc20-bigblock
+// block with its traces collected and the Contract Table learned once:
+// each iteration is the plan build, the schedule and the PU simulation
+// that the execute stage pays per block.
+func replayBench(b *testing.B, mode core.Mode) {
+	genesis, blocks := bigBlock(b, 1)
+	head := mvstate.NewStore(genesis, nil).Head()
+	prep, err := core.PrepareBlock(head, blocks[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces, receipts, digest := prep.Traces, prep.Receipts, prep.DigestAt(head, blocks[0].Header.Coinbase)
+	acc := core.New(arch.DefaultConfig())
+	acc.LearnHotspots(traces, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		if res, err = acc.ReplayWith(blocks[0], traces, receipts, digest, mode, core.ReplayOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Cycles)/float64(len(traces)), "sim_cycles/tx")
+}
+
+// BenchmarkReplayHotspot192 is the service's default engine:
+// spatio-temporal scheduling with redundancy and hotspot plans.
+func BenchmarkReplayHotspot192(b *testing.B) { replayBench(b, core.ModeSTHotspot) }
+
+// BenchmarkReplayST192 is the spatio-temporal scheduler over plain plans.
+func BenchmarkReplayST192(b *testing.B) { replayBench(b, core.ModeSpatialTemporal) }
+
+// BenchmarkReplayScalar192 is one scalar PU: neither the scheduler nor
+// the Contract Table, so it isolates the PU simulation.
+func BenchmarkReplayScalar192(b *testing.B) { replayBench(b, core.ModeScalar) }
+
 // digestPools are the account pools of the state-size sweep: token-dep30's
 // (210 accounts with the contracts), large-state's and ten times that.
 var digestPools = []int{200, 4096, 40960}

@@ -19,6 +19,8 @@
 package hotspot
 
 import (
+	"encoding/binary"
+
 	"mtpu/internal/arch"
 	"mtpu/internal/evm"
 	"mtpu/internal/types"
@@ -48,32 +50,79 @@ type slotInfo struct {
 	producer int
 }
 
-// apc keys per-pc annotation maps by code address and pc, so identical
-// pcs in different contracts (or the proxy and its implementation) never
-// collide.
-type apc struct {
-	addr types.Address
-	pc   uint64
+// The per-pc annotation bits of a Contract Table entry.
+const (
+	pcSkip     uint8 = 1 << iota // eliminated by constant backtracking
+	pcConstOps                   // reads its operands from the Constants Table
+	pcPrefetch                   // storage/state read with a deterministic key
+)
+
+// pcFlags holds one code address's annotation bits, indexed by pc; a pc
+// at or beyond its length carries none. Rows are kept trimmed (no
+// trailing zero) and a row with no bit set is dropped, so equal sets
+// have equal rows.
+type pcFlags []uint8
+
+// at returns the bits of pc.
+func (r pcFlags) at(pc uint64) uint8 {
+	if pc < uint64(len(r)) {
+		return r[pc]
+	}
+	return 0
+}
+
+// grown returns r, extended with zeros to cover pc if it is too short.
+func (r pcFlags) grown(pc uint64) pcFlags {
+	if pc < uint64(len(r)) {
+		return r
+	}
+	return append(r, make(pcFlags, pc+1-uint64(len(r)))...)
+}
+
+// canonicalize trims every row of flags and drops the empty ones.
+func canonicalize(flags map[types.Address]pcFlags) {
+	for addr, row := range flags {
+		n := len(row)
+		for n > 0 && row[n-1] == 0 {
+			n--
+		}
+		if n == 0 {
+			delete(flags, addr)
+		} else {
+			flags[addr] = row[:n]
+		}
+	}
+}
+
+// flagReader reads a flag map step by step, looking a row up only when
+// the executing code address changes.
+type flagReader struct {
+	flags map[types.Address]pcFlags
+	addr  types.Address
+	row   pcFlags
+	ok    bool
+}
+
+func (r *flagReader) at(s *evm.Step) uint8 {
+	if !r.ok || !sameAddr(&s.CodeAddr, &r.addr) {
+		r.addr, r.row, r.ok = s.CodeAddr, r.flags[s.CodeAddr], true
+	}
+	return r.row.at(s.PC)
+}
+
+// sameAddr compares two addresses as three words; == on the 20-byte
+// arrays is a call to memequal, once per planned step.
+func sameAddr(a, b *types.Address) bool {
+	return binary.LittleEndian.Uint64(a[0:8]) == binary.LittleEndian.Uint64(b[0:8]) &&
+		binary.LittleEndian.Uint64(a[8:16]) == binary.LittleEndian.Uint64(b[8:16]) &&
+		binary.LittleEndian.Uint32(a[16:20]) == binary.LittleEndian.Uint32(b[16:20])
 }
 
 // analysis is the result of one trace analysis.
 type analysis struct {
-	preExecLen  int
-	skip        map[apc]bool
-	constOps    map[apc]bool
-	prefetch    map[apc]bool
-	loadFrac    map[types.Address]float64
-	elimCount   int
-	prefetchCnt int
-}
-
-// stepAddrs returns the code address executing each step.
-func stepAddrs(t *arch.TxTrace) []types.Address {
-	out := make([]types.Address, len(t.Steps))
-	for i := range t.Steps {
-		out[i] = t.Steps[i].CodeAddr
-	}
-	return out
+	preExecLen int
+	flags      map[types.Address]pcFlags
+	loadFrac   map[types.Address]float64
 }
 
 // preExecLen finds the boundary of the Compare (+Check) chunks: the
@@ -160,13 +209,10 @@ func pureCompute(op evm.Opcode) bool {
 // annotation sets.
 func analyzeTrace(t *arch.TxTrace) *analysis {
 	steps := t.Steps
-	addrs := stepAddrs(t)
 	n := len(steps)
 
 	a := &analysis{
-		skip:     make(map[apc]bool),
-		constOps: make(map[apc]bool),
-		prefetch: make(map[apc]bool),
+		flags:    make(map[types.Address]pcFlags),
 		loadFrac: make(map[types.Address]float64),
 	}
 	a.preExecLen = preExecLen(steps)
@@ -420,47 +466,55 @@ func analyzeTrace(t *arch.TxTrace) *analysis {
 		skip[i] = ok
 	}
 
-	// Project to per-(addr,pc) sets; a pc is annotated only if every
-	// dynamic occurrence agreed (conservative intersection).
-	skipVotes := make(map[apc][2]int) // [yes, total]
-	constVotes := make(map[apc][2]int)
-	prefVotes := make(map[apc][2]int)
-	vote := func(m map[apc][2]int, k apc, yes bool) {
-		v := m[k]
-		if yes {
-			v[0]++
-		}
-		v[1]++
-		m[k] = v
-	}
+	// Project to per-(addr,pc) flags; a pc keeps a flag only if every
+	// dynamic occurrence had it (conservative intersection). The seen
+	// bit marks pcs that already voted.
+	const seen = 0x80
+	var addr types.Address
+	var row pcFlags
 	for i := range steps {
-		k := apc{addrs[i], steps[i].PC}
-		vote(skipVotes, k, skip[i])
-		vote(constVotes, k, constOp[i])
-		vote(prefVotes, k, prefetchable[i])
-	}
-	unanimous := func(m map[apc][2]int, out map[apc]bool) int {
-		count := 0
-		for k, v := range m {
-			if v[0] == v[1] && v[0] > 0 {
-				out[k] = true
-				count++
+		s := &steps[i]
+		if i == 0 || s.CodeAddr != addr {
+			if i > 0 {
+				a.flags[addr] = row
 			}
+			addr, row = s.CodeAddr, a.flags[s.CodeAddr]
 		}
-		return count
+		row = row.grown(s.PC)
+		f := uint8(seen)
+		if skip[i] {
+			f |= pcSkip
+		}
+		if constOp[i] {
+			f |= pcConstOps
+		}
+		if prefetchable[i] {
+			f |= pcPrefetch
+		}
+		if row[s.PC]&seen == 0 {
+			row[s.PC] = f
+		} else {
+			row[s.PC] &= f
+		}
 	}
-	a.elimCount = unanimous(skipVotes, a.skip)
-	unanimous(constVotes, a.constOps)
-	a.prefetchCnt = unanimous(prefVotes, a.prefetch)
+	if n > 0 {
+		a.flags[addr] = row
+	}
+	for _, row := range a.flags {
+		for pc := range row {
+			row[pc] &^= seen
+		}
+	}
+	canonicalize(a.flags)
 
 	// Chunk-based bytecode loading (§3.4.2): only executed bytes of each
 	// contract, excluding the pre-executed prefix, are loaded.
 	executedBytes := make(map[types.Address]map[uint64]int)
 	for i := a.preExecLen; i < n; i++ {
-		m := executedBytes[addrs[i]]
+		m := executedBytes[steps[i].CodeAddr]
 		if m == nil {
 			m = make(map[uint64]int)
-			executedBytes[addrs[i]] = m
+			executedBytes[steps[i].CodeAddr] = m
 		}
 		m[steps[i].PC] = 1 + steps[i].Op.PushSize()
 	}

@@ -129,8 +129,7 @@ func sameTable(t *testing.T, name string, got, want *hotspot.ContractTable) {
 	for _, k := range want.Keys() {
 		g, w := got.Lookup(k.Addr, k.Selector), want.Lookup(k.Addr, k.Selector)
 		if g.PreExecLen != w.PreExecLen || g.Samples != w.Samples ||
-			!reflect.DeepEqual(g.Skip, w.Skip) || !reflect.DeepEqual(g.ConstOps, w.ConstOps) ||
-			!reflect.DeepEqual(g.Prefetch, w.Prefetch) || !reflect.DeepEqual(g.LoadFrac, w.LoadFrac) {
+			!reflect.DeepEqual(g.Flags, w.Flags) || !reflect.DeepEqual(g.LoadFrac, w.LoadFrac) {
 			t.Fatalf("%s: entry %x/%x differs from the reference", name, k.Addr, k.Selector)
 		}
 	}

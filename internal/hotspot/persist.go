@@ -31,10 +31,21 @@ type persistedPC struct {
 	PC   uint64 `json:"pc"`
 }
 
-func pcSetOut(m map[apc]bool) []persistedPC {
-	out := make([]persistedPC, 0, len(m))
-	for k := range m {
-		out = append(out, persistedPC{Addr: hex.EncodeToString(k.addr[:]), PC: k.pc})
+// maxPersistedPC bounds the pcs a persisted table may name, because a
+// row is as long as its largest pc. No code a block's gas can pay to
+// run reaches it.
+const maxPersistedPC = 1 << 24
+
+// pcSetOut lists the (address, pc) pairs whose flags hold bit, sorted.
+func pcSetOut(flags map[types.Address]pcFlags, bit uint8) []persistedPC {
+	var out []persistedPC
+	for addr, row := range flags {
+		hexAddr := hex.EncodeToString(addr[:])
+		for pc, f := range row {
+			if f&bit != 0 {
+				out = append(out, persistedPC{Addr: hexAddr, PC: uint64(pc)})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Addr != out[j].Addr {
@@ -45,16 +56,22 @@ func pcSetOut(m map[apc]bool) []persistedPC {
 	return out
 }
 
-func pcSetIn(list []persistedPC) (map[apc]bool, error) {
-	m := make(map[apc]bool, len(list))
+// pcSetIn sets bit in flags for every listed (address, pc) pair.
+func pcSetIn(flags map[types.Address]pcFlags, list []persistedPC, bit uint8) error {
 	for _, p := range list {
 		raw, err := hex.DecodeString(p.Addr)
 		if err != nil || len(raw) != types.AddressLength {
-			return nil, fmt.Errorf("hotspot: bad persisted address %q", p.Addr)
+			return fmt.Errorf("hotspot: bad persisted address %q", p.Addr)
 		}
-		m[apc{types.BytesToAddress(raw), p.PC}] = true
+		if p.PC >= maxPersistedPC {
+			return fmt.Errorf("hotspot: persisted pc %d out of range", p.PC)
+		}
+		addr := types.BytesToAddress(raw)
+		row := flags[addr].grown(p.PC)
+		row[p.PC] |= bit
+		flags[addr] = row
 	}
-	return m, nil
+	return nil
 }
 
 // MarshalJSON serializes the table deterministically.
@@ -67,9 +84,9 @@ func (t *ContractTable) MarshalJSON() ([]byte, error) {
 			Selector:   hex.EncodeToString(key.Selector[:]),
 			PreExecLen: info.PreExecLen,
 			Samples:    info.Samples,
-			Skip:       pcSetOut(info.Skip),
-			ConstOps:   pcSetOut(info.ConstOps),
-			Prefetch:   pcSetOut(info.Prefetch),
+			Skip:       pcSetOut(info.Flags, pcSkip),
+			ConstOps:   pcSetOut(info.Flags, pcConstOps),
+			Prefetch:   pcSetOut(info.Flags, pcPrefetch),
 			LoadFrac:   map[string]float64{},
 		}
 		for addr, f := range info.LoadFrac {
@@ -103,15 +120,16 @@ func (t *ContractTable) UnmarshalJSON(data []byte) error {
 			Key:        key,
 			PreExecLen: e.PreExecLen,
 			Samples:    e.Samples,
+			Flags:      make(map[types.Address]pcFlags),
 			LoadFrac:   make(map[types.Address]float64, len(e.LoadFrac)),
 		}
-		if info.Skip, err = pcSetIn(e.Skip); err != nil {
+		if err := pcSetIn(info.Flags, e.Skip, pcSkip); err != nil {
 			return err
 		}
-		if info.ConstOps, err = pcSetIn(e.ConstOps); err != nil {
+		if err := pcSetIn(info.Flags, e.ConstOps, pcConstOps); err != nil {
 			return err
 		}
-		if info.Prefetch, err = pcSetIn(e.Prefetch); err != nil {
+		if err := pcSetIn(info.Flags, e.Prefetch, pcPrefetch); err != nil {
 			return err
 		}
 		for addrHex, f := range e.LoadFrac {

@@ -67,6 +67,7 @@ func TestContractTablePersistErrors(t *testing.T) {
 		`[{"addr":"zz","selector":"a9059cbb"}]`,
 		`[{"addr":"0000000000000000000000000000000000001001","selector":"a9"}]`,
 		`[{"addr":"0000000000000000000000000000000000001001","selector":"a9059cbb","skip":[{"addr":"xx","pc":1}]}]`,
+		`[{"addr":"0000000000000000000000000000000000001001","selector":"a9059cbb","prefetch":[{"addr":"0000000000000000000000000000000000001001","pc":1099511627776}]}]`,
 		`[{"addr":"0000000000000000000000000000000000001001","selector":"a9059cbb","loadFrac":{"0000000000000000000000000000000000001001":7.5}}]`,
 	}
 	for i, c := range cases {

@@ -25,13 +25,13 @@ type PathInfo struct {
 	// PreExecLen is the number of leading top-frame steps covered by the
 	// pre-executed Compare+Check chunks.
 	PreExecLen int
-	// Skip marks instructions eliminated by constant backtracking.
-	Skip map[apc]bool
-	// ConstOps marks instructions reading operands from the Constants
-	// Table (their stack dependencies disappear).
-	ConstOps map[apc]bool
-	// Prefetch marks storage/state reads with deterministic keys.
-	Prefetch map[apc]bool
+	// Flags holds the per-pc annotations, one row per code address, so
+	// identical pcs in different contracts (or a proxy and its
+	// implementation) never collide: pcSkip marks instructions
+	// eliminated by constant backtracking, pcConstOps those reading
+	// operands from the Constants Table (their stack dependencies
+	// disappear), pcPrefetch storage/state reads with deterministic keys.
+	Flags map[types.Address]pcFlags
 	// LoadFrac scales each contract's bytecode-loading cost to the
 	// on-path chunks.
 	LoadFrac map[types.Address]float64
@@ -126,9 +126,7 @@ func (t *ContractTable) analyze(key Key, trace *arch.TxTrace) *PathInfo {
 		info = &PathInfo{
 			Key:        key,
 			PreExecLen: a.preExecLen,
-			Skip:       a.skip,
-			ConstOps:   a.constOps,
-			Prefetch:   a.prefetch,
+			Flags:      a.flags,
 			LoadFrac:   a.loadFrac,
 			Samples:    1,
 		}
@@ -139,9 +137,7 @@ func (t *ContractTable) analyze(key Key, trace *arch.TxTrace) *PathInfo {
 	if a.preExecLen < info.PreExecLen {
 		info.PreExecLen = a.preExecLen
 	}
-	intersect(info.Skip, a.skip)
-	intersect(info.ConstOps, a.constOps)
-	intersect(info.Prefetch, a.prefetch)
+	intersect(info.Flags, a.flags)
 	for addr, f := range a.loadFrac {
 		if old, ok := info.LoadFrac[addr]; !ok || f > old {
 			info.LoadFrac[addr] = f // keep the largest observed footprint
@@ -151,12 +147,15 @@ func (t *ContractTable) analyze(key Key, trace *arch.TxTrace) *PathInfo {
 	return info
 }
 
-func intersect(dst, src map[apc]bool) {
-	for k := range dst {
-		if !src[k] {
-			delete(dst, k)
+// intersect keeps in dst only the flags src holds too, row by row.
+func intersect(dst, src map[types.Address]pcFlags) {
+	for addr, row := range dst {
+		other := src[addr]
+		for pc := range row {
+			row[pc] &= other.at(uint64(pc))
 		}
 	}
+	canonicalize(dst)
 }
 
 // Plan rewrites a transaction trace into an execution plan: pre-executed
@@ -171,18 +170,26 @@ func (t *ContractTable) Plan(trace *arch.TxTrace) *pu.Plan {
 	if info == nil {
 		return pu.PlainPlan(trace)
 	}
-	addrs := stepAddrs(trace)
-	steps := make([]evm.Step, 0, len(trace.Steps))
-	ann := make([]pipeline.Annotation, 0, len(trace.Steps))
-	for i := range trace.Steps {
-		k := apc{addrs[i], trace.Steps[i].PC}
-		if i < info.PreExecLen || info.Skip[k] {
+	// Count the kept steps first, so the plan's slices are exact.
+	pre := min(info.PreExecLen, len(trace.Steps))
+	r := flagReader{flags: info.Flags}
+	kept := 0
+	for i := pre; i < len(trace.Steps); i++ {
+		if r.at(&trace.Steps[i])&pcSkip == 0 {
+			kept++
+		}
+	}
+	steps := make([]evm.Step, 0, kept)
+	ann := make([]pipeline.Annotation, 0, kept)
+	for i := pre; i < len(trace.Steps); i++ {
+		f := r.at(&trace.Steps[i])
+		if f&pcSkip != 0 {
 			continue
 		}
 		steps = append(steps, trace.Steps[i])
 		ann = append(ann, pipeline.Annotation{
-			Prefetched:    info.Prefetch[k],
-			ConstOperands: info.ConstOps[k],
+			Prefetched:    f&pcPrefetch != 0,
+			ConstOperands: f&pcConstOps != 0,
 		})
 	}
 	plan := pu.NewPlan(trace, steps, ann)

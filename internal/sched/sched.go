@@ -38,11 +38,13 @@ type Result struct {
 	// RedundantSteers counts selections that matched the PU's last
 	// contract (the Re-bit fast path of §3.2.2).
 	RedundantSteers int
-	// RefillScans counts candidate evaluations in the window-refill
-	// loop — the host-side cost of the linear scan (O(window × txs)
-	// worst case), the number a future tree-structured scheduler
-	// would have to beat. Zero for the sequential and synchronous
-	// baselines, which have no candidate window.
+	// RefillScans is the number of candidates the §3.2 full-scan rule
+	// would examine to refill the window: every transaction of the
+	// block, once per slot-fill attempt. It is an exact count of the
+	// algorithm, not of host work: the refill itself keeps per-contract
+	// ready lists and costs O(contracts) per slot. Zero for the
+	// sequential and synchronous baselines, which have no candidate
+	// window.
 	RefillScans uint64
 }
 
@@ -130,9 +132,16 @@ func Synchronous(dag *types.DAG, numPUs int, overhead uint64, e Engine) Result {
 // Contracts are interned once at construction into dense ids (cid 0 is
 // reserved for the zero address, which never matches redundancy), so
 // the per-pick hot loops index arrays instead of hashing addresses.
+//
+// Admission (§3.2.1) needs every dependency completed or running, and a
+// transaction only moves from pending to running to completed, so
+// eligibility changes only when a dependency is dispatched. The state
+// keeps, per transaction, the number of dependencies not yet dispatched;
+// dispatch decrements the dependents and files each one that reaches
+// zero on its contract's ready list. A refill then compares contracts,
+// not transactions.
 type stState struct {
-	dag       *types.DAG
-	contracts []types.Address
+	dag *types.DAG
 
 	// cids holds each transaction's dense contract id; remaining counts
 	// pending+running transactions per cid (a transaction's V value is
@@ -140,10 +149,28 @@ type stState struct {
 	cids      []uint32
 	remaining []int32
 
+	// completed, running and admitted are each transaction's Fig. 6
+	// status, as the §3.2 full-scan admission rule reads it; the refill
+	// itself reads the ready lists below.
 	completed []bool
 	running   []bool
 	admitted  []bool
 	runningTx []int // per PU; -1 when idle
+
+	// waiting counts each transaction's dependencies not yet dispatched
+	// (a duplicated edge counts twice); dependents[depStart[d]:
+	// depStart[d+1]] lists the transactions that name d as a dependency,
+	// once per edge.
+	waiting    []int32
+	depStart   []int32
+	dependents []int32
+
+	// ready holds the eligible transactions not yet admitted to the
+	// window, bucketed by contract: cid c's are ready[head[c]:tail[c]],
+	// in ascending index order. Each transaction is filed once, so a
+	// bucket sized to its contract's transaction count never overflows.
+	ready      []int32
+	head, tail []int32
 
 	tables *Tables
 
@@ -157,7 +184,7 @@ type stState struct {
 	runningMark  []uint32
 	runningEpoch uint32
 
-	// scans accumulates refill's candidate evaluations (Result.RefillScans).
+	// scans accumulates Result.RefillScans.
 	scans uint64
 }
 
@@ -165,12 +192,13 @@ func newSTState(dag *types.DAG, contracts []types.Address, numPUs, m int) *stSta
 	n := dag.Len()
 	s := &stState{
 		dag:       dag,
-		contracts: contracts,
 		cids:      make([]uint32, n),
 		completed: make([]bool, n),
 		running:   make([]bool, n),
 		admitted:  make([]bool, n),
 		runningTx: make([]int, numPUs),
+		waiting:   make([]int32, n),
+		depStart:  make([]int32, n+1),
 		tables:    NewTables(numPUs, m),
 		lastCid:   make([]uint32, numPUs),
 	}
@@ -195,7 +223,41 @@ func newSTState(dag *types.DAG, contracts []types.Address, numPUs, m int) *stSta
 		s.remaining[id]++
 	}
 	s.runningMark = make([]uint32, len(ids))
-	s.refill()
+
+	// Reverse adjacency in one flat array, bucketed by dependency.
+	for tx, deps := range dag.Deps {
+		s.waiting[tx] = int32(len(deps))
+		for _, d := range deps {
+			s.depStart[d+1]++
+		}
+	}
+	for d := 0; d < n; d++ {
+		s.depStart[d+1] += s.depStart[d]
+	}
+	s.dependents = make([]int32, s.depStart[n])
+	fill := append([]int32(nil), s.depStart[:n]...)
+	for tx, deps := range dag.Deps {
+		for _, d := range deps {
+			s.dependents[fill[d]] = int32(tx)
+			fill[d]++
+		}
+	}
+
+	s.ready = make([]int32, n)
+	s.head = make([]int32, len(ids))
+	s.tail = make([]int32, len(ids))
+	var base int32
+	for c, count := range s.remaining {
+		s.head[c], s.tail[c] = base, base
+		base += count
+	}
+	for tx, deps := range dag.Deps {
+		if len(deps) == 0 {
+			c := s.cids[tx]
+			s.ready[s.tail[c]] = int32(tx)
+			s.tail[c]++
+		}
+	}
 	return s
 }
 
@@ -205,16 +267,24 @@ func (s *stState) value(tx int) int {
 	return int(s.remaining[s.cids[tx]]) - 1
 }
 
-// eligible reports whether every dependency is completed or running —
-// the §3.2.1 admission rule ("the indegree of these transactions is 0",
-// counting only unscheduled transactions).
-func (s *stState) eligible(tx int) bool {
-	for _, d := range s.dag.Deps[tx] {
-		if !s.completed[d] && !s.running[d] {
-			return false
+// markDispatched counts tx's dispatch against each of its dependents,
+// filing those left with no undispatched dependency as ready.
+func (s *stState) markDispatched(tx int) {
+	for _, c := range s.dependents[s.depStart[tx]:s.depStart[tx+1]] {
+		s.waiting[c]--
+		if s.waiting[c] != 0 {
+			continue
 		}
+		// Insert in index order; dependents usually arrive ascending,
+		// so the walk from the back stops at once.
+		cid := s.cids[c]
+		i := s.tail[cid]
+		for ; i > s.head[cid] && s.ready[i-1] > c; i-- {
+			s.ready[i] = s.ready[i-1]
+		}
+		s.ready[i] = c
+		s.tail[cid]++
 	}
-	return true
 }
 
 // dependsOn reports a DAG edge from the tx running on PU p to tx.
@@ -240,7 +310,9 @@ func (s *stState) redundantWithPU(p, tx int) bool {
 
 // refill tops the candidate window up (step 4 of Fig. 6): transactions
 // calling the same contract as one currently being executed are
-// prioritized, then larger V (§3.2.1).
+// prioritized, then larger V (§3.2.1), then the lower block index. The
+// key depends only on the contract, so the best candidate is the head
+// of the best contract's ready list.
 func (s *stState) refill() {
 	s.runningEpoch++
 	for _, tx := range s.runningTx {
@@ -248,32 +320,32 @@ func (s *stState) refill() {
 			s.runningMark[s.cids[tx]] = s.runningEpoch
 		}
 	}
+	n := s.dag.Len()
 	for {
 		slot := s.tables.FreeSlot()
 		if slot < 0 {
 			return
 		}
+		// The full-scan rule of §3.2 examines every transaction per slot.
+		s.scans += uint64(n)
 		best := -1
 		bestKey := math.MinInt
-		for tx := 0; tx < s.dag.Len(); tx++ {
-			if s.admitted[tx] || s.completed[tx] || s.running[tx] || !s.eligible(tx) {
+		for c, h := range s.head {
+			if h == s.tail[c] {
 				continue
 			}
-			key := s.value(tx) * 2
-			if s.runningMark[s.cids[tx]] == s.runningEpoch {
-				key += s.dag.Len() * 4 // same-contract priority dominates
+			key := 2 * (int(s.remaining[c]) - 1)
+			if s.runningMark[c] == s.runningEpoch {
+				key += n * 4 // same-contract priority dominates
 			}
-			// Ascending iteration keeps the earliest index on ties.
-			if key > bestKey {
-				best, bestKey = tx, key
+			if first := int(s.ready[h]); key > bestKey || key == bestKey && first < best {
+				best, bestKey = first, key
 			}
 		}
-		// The scan always walks the full index range; one add outside the
-		// loop keeps the count exact without touching the hot body.
-		s.scans += uint64(s.dag.Len())
 		if best < 0 {
 			return
 		}
+		s.head[s.cids[best]]++
 		s.admitted[best] = true
 		tx := best
 		s.tables.Write(slot, tx, s.value(tx),
@@ -293,6 +365,7 @@ func (s *stState) dispatch(p int) Pick {
 	s.running[tx] = true
 	s.runningTx[p] = tx
 	s.lastCid[p] = s.cids[tx]
+	s.markDispatched(tx)
 	s.tables.SetRunning(p,
 		func(cand int) bool {
 			for _, d := range s.dag.Deps[cand] {
@@ -328,6 +401,12 @@ func SpatialTemporal(dag *types.DAG, contracts []types.Address, numPUs, window i
 // pick classification and window occupancy at each selection — to sink
 // when it is non-nil. The schedule itself is identical either way.
 func SpatialTemporalObs(dag *types.DAG, contracts []types.Address, numPUs, window int, overhead uint64, e Engine, sink obs.Sink) Result {
+	return spatialTemporal(dag, contracts, numPUs, window, overhead, e, sink, (*stState).refill)
+}
+
+// spatialTemporal is the scheduling loop with the window refill passed
+// in, so tests can run it with the full-scan refill it replaced.
+func spatialTemporal(dag *types.DAG, contracts []types.Address, numPUs, window int, overhead uint64, e Engine, sink obs.Sink, refill func(*stState)) Result {
 	n := dag.Len()
 	if len(contracts) != n {
 		panic(fmt.Sprintf("sched: %d contracts for %d transactions", len(contracts), n))
@@ -337,6 +416,7 @@ func SpatialTemporalObs(dag *types.DAG, contracts []types.Address, numPUs, windo
 		return res
 	}
 	s := newSTState(dag, contracts, numPUs, window)
+	refill(s)
 
 	puBusyUntil := make([]uint64, numPUs)
 	var now uint64
@@ -364,7 +444,7 @@ func SpatialTemporalObs(dag *types.DAG, contracts []types.Address, numPUs, windo
 			res.Dispatches = append(res.Dispatches, Dispatch{Tx: tx, PU: p, Start: now, End: now + cost})
 			res.BusyCycles[p] += cost
 			// CPU writes replacement candidates into the freed slot.
-			s.refill()
+			refill(s)
 		}
 
 		// Advance to the next completion.
@@ -384,8 +464,10 @@ func SpatialTemporalObs(dag *types.DAG, contracts []types.Address, numPUs, windo
 				done++
 			}
 		}
-		// Completions may make new transactions eligible.
-		s.refill()
+		// Completions admit nothing new — a running dependency already
+		// counts as cleared — but the §3.2 flow refills here too, and
+		// RefillScans counts it.
+		refill(s)
 	}
 	res.Makespan = now
 	res.RefillScans = s.scans

@@ -82,8 +82,9 @@ type Metrics struct {
 	SBufMisses Counter
 
 	// Scheduler behaviour: picks by class (via the obs bridge) and
-	// candidate-window refill scans (the O(window × txs) loop the
-	// tree-scheduler roadmap item wants measured).
+	// candidate-window refill scans (sched.Result.RefillScans: the
+	// candidates the §3.2 full-scan rule examines, an exact count, not
+	// host work).
 	SchedPicks       [obs.NumPickKinds]Counter
 	SchedRefillScans Counter
 
