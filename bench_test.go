@@ -260,8 +260,8 @@ func BenchmarkFunctionalEVM(b *testing.B) {
 }
 
 // BenchmarkCollectTracesAllocs tracks the allocation footprint of the
-// golden run (the collector's capacity hints keep per-step appends from
-// regrowing).
+// golden run (the collector appends every step into one chunked slab
+// per block, so per-step appends never regrow a per-transaction slice).
 func BenchmarkCollectTracesAllocs(b *testing.B) {
 	gen := workload.NewGenerator(1234, 4096)
 	genesis := gen.Genesis()

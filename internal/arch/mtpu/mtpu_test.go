@@ -55,8 +55,8 @@ var syms = arch.NewSymbolTable()
 
 // storStep builds an interned storage-access step.
 func storStep(addr types.Address, slot types.Hash) *evm.Step {
-	s := &evm.Step{Op: evm.SLOAD, TouchAddr: addr, TouchSlot: slot}
-	syms.Intern(s)
+	s := &evm.Step{Op: evm.SLOAD}
+	syms.Intern(s, &types.Address{}, &addr, &slot)
 	return s
 }
 
@@ -84,8 +84,8 @@ func TestProcessorMemLatencies(t *testing.T) {
 		t.Fatalf("read after write %d", got)
 	}
 	// Account queries share the buffer.
-	q := &evm.Step{Op: evm.BALANCE, TouchAddr: acctA}
-	syms.Intern(q)
+	q := &evm.Step{Op: evm.BALANCE}
+	syms.Intern(q, &types.Address{}, &acctA, &types.Hash{})
 	if got := mem.StateQuery(q, false); got != cfg.MainMemLat {
 		t.Fatalf("cold query %d", got)
 	}

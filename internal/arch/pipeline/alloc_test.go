@@ -73,8 +73,8 @@ func TestPURunWarmZeroAllocs(t *testing.T) {
 // TestPlainPlansAllocateNoStepCopy guards what the block-stream service
 // pays per block for a plain engine's plans: a fixed handful of objects
 // per transaction (the plan and its hot image), and nowhere near the
-// bytes of one copy of the block's steps — plain plans share their
-// traces' steps.
+// bytes of the hot image plus one copy of the block's steps — plain
+// plans share their traces' steps.
 func TestPlainPlansAllocateNoStepCopy(t *testing.T) {
 	src, err := workload.Spec{Kind: "erc20-mix", Blocks: 1, Txs: 192, Skew: 1.2, Seed: 1, Accounts: 256}.OpenSource()
 	if err != nil {
@@ -99,8 +99,12 @@ func TestPlainPlansAllocateNoStepCopy(t *testing.T) {
 		t.Fatalf("%d plans for %d traces", len(plans), len(traces))
 	}
 	stepBytes := uint64(steps) * uint64(unsafe.Sizeof(evm.Step{}))
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > stepBytes/2 {
-		t.Errorf("PlainPlans allocated %d bytes; one copy of the block's %d steps is %d", got, steps, stepBytes)
+	// The hot image per step: HotStep, GasPrefix, NextStall, Words and
+	// KeySum entries.
+	hotBytes := uint64(steps) * uint64(unsafe.Sizeof(pipeline.HotStep{})+8+4+4+8)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > hotBytes+stepBytes/2 {
+		t.Errorf("PlainPlans allocated %d bytes; the hot image of the block's %d steps is %d, one copy of them %d",
+			got, steps, hotBytes, stepBytes)
 	}
 	perRun := testing.AllocsPerRun(5, func() { plans = pu.PlainPlans(traces) })
 	if limit := float64(8*len(traces) + 1); perRun > limit {

@@ -167,14 +167,7 @@ type member struct {
 // by a unit conflict, a second RAW, or a control-flow change. The address
 // of the next instruction and the summed gas (G) live at the end of the
 // line in hardware; here they are implicit in the trace replay.
-// lineTag identifies a line: contract address plus entry pc.
-type lineTag struct {
-	addr types.Address
-	pc   uint64
-}
-
 type line struct {
-	tag   lineTag
 	insts []member
 	// count is the original instruction count (including folded ones).
 	count int
@@ -202,7 +195,6 @@ const lineDynStall = ^uint32(0)
 // copyFrom overwrites ln with src, reusing ln's member capacity so a
 // recycled cache node absorbs a new line without allocating.
 func (ln *line) copyFrom(src *line) {
-	ln.tag = src.tag
 	ln.count = src.count
 	ln.keySum = src.keySum
 	ln.flatWorst = src.flatWorst
@@ -572,9 +564,11 @@ type Pipeline struct {
 
 	// pend batches DB-cache counters for the sink between commit
 	// boundaries; pendContract attributes them (events of different
-	// contracts never share a batch).
+	// contracts never share a batch). syms is the symbol table of the
+	// steps being replayed, which names pendContract (SetSymbols).
 	pend         obs.DBDelta
 	pendContract types.Address
+	syms         *arch.SymbolTable
 
 	// segIdx/segArena memoize fill results by packed line key. This is
 	// software memoization of a pure function, not modeled hardware
@@ -619,6 +613,7 @@ func (p *Pipeline) Reset() {
 	p.stats = Stats{}
 	p.pend.Reset()
 	p.pendContract = types.Address{}
+	p.syms = nil
 }
 
 // packKey is the identity of the line starting at s, packed into the one
@@ -646,6 +641,11 @@ func (p *Pipeline) SetSink(s obs.Sink, puID int) {
 	p.sink = s
 	p.puID = puID
 }
+
+// SetSymbols names the symbol table whose ids the next replayed steps
+// carry. Only a replay with a sink attached reads it, to attribute
+// DB-cache events to contract addresses.
+func (p *Pipeline) SetSymbols(st *arch.SymbolTable) { p.syms = st }
 
 // Flush clears the DB cache and side table (used when ReuseContext is
 // off). Both keep their backing storage, so the per-transaction flush
@@ -757,7 +757,7 @@ type HotPlan struct {
 	NextStall []int32
 	// Words[i] is the step's memory footprint in 32-byte words — the
 	// SHA3/copy stall multiplier — so flat stall walks never load the
-	// 128-byte step.
+	// 56-byte step.
 	Words []uint32
 	// NoPrefetch records that no annotation marks a prefetched access,
 	// making every flat-memory stall a pure function of the latency
@@ -897,7 +897,7 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, hp *HotPlan, mem 
 				// check sends the stale variant down the miss path, which
 				// refills the line.
 				if p.sink != nil {
-					p.obsLookup(steps[i].CodeAddr, true, ln.count)
+					p.obsLookup(&steps[i], true, ln.count)
 				}
 				gasCharged += gp[end] - gp[i]
 				var worst uint64
@@ -936,7 +936,7 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, hp *HotPlan, mem 
 		lineMisses++
 		ln, consumed, stable := p.fillCached(steps, ann, hot, i, key)
 		if p.sink != nil {
-			p.obsLookup(steps[i].CodeAddr, false, consumed)
+			p.obsLookup(&steps[i], false, consumed)
 		}
 		end := i + consumed
 		gasCharged += gp[end] - gp[i]
@@ -988,10 +988,12 @@ func (p *Pipeline) Execute(steps []evm.Step, ann []Annotation, hp *HotPlan, mem 
 	return cycles
 }
 
-// obsLookup batches one DB-cache lookup for the sink, flushing the
-// pending delta when the executing contract changes so attribution
-// stays exact. Only called with a non-nil sink.
-func (p *Pipeline) obsLookup(contract types.Address, hit bool, insts int) {
+// obsLookup batches one DB-cache lookup at step s for the sink,
+// flushing the pending delta when the executing contract changes so
+// attribution stays exact. Only called with a non-nil sink, so only an
+// observed replay resolves code ids to addresses.
+func (p *Pipeline) obsLookup(s *evm.Step, hit bool, insts int) {
+	contract := p.syms.CodeAddr(s.CodeID)
 	if contract != p.pendContract && !p.pend.Empty() {
 		p.flushObs()
 	}
@@ -1282,7 +1284,6 @@ func fillCompatible(a, b arch.Config) bool {
 // only one instruction fit) and how many trace steps it covers.
 func (p *Pipeline) fill(steps []evm.Step, ann []Annotation, start int) (*line, int) {
 	ln := &p.scratch
-	ln.tag = lineTag{steps[start].CodeAddr, steps[start].PC}
 	ln.count = 0
 	ln.insts = ln.insts[:0]
 	unitUsed := [evm.NumFuncUnits + 1]bool{}

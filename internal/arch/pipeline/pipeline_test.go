@@ -13,7 +13,7 @@ var codeB = types.HexToAddress("0xc0de000000000000000000000000000000000002")
 
 // step builds a trace step with sensible defaults.
 func step(pc uint64, op evm.Opcode) evm.Step {
-	return evm.Step{PC: pc, Op: op, Depth: 1, CodeAddr: codeA, GasCost: op.ConstGas()}
+	return evm.Step{PC: pc, Op: op, Depth: 1, CodeID: idA, GasCost: op.ConstGas()}
 }
 
 // seq builds a straight-line step sequence from opcodes, assigning pcs
@@ -35,13 +35,20 @@ func ilpConfig() arch.Config {
 }
 
 // syms interns every hand-built step of this file, the way a Collector
-// interns a real trace.
-var syms = arch.NewSymbolTable()
+// interns a real trace; idA and idB name codeA and codeB.
+var (
+	syms     = arch.NewSymbolTable()
+	idA, idB = syms.CodeID(codeA), syms.CodeID(codeB)
+)
 
-// run interns steps and replays them through p.
+// run interns steps, each under the code address its CodeID names and
+// touching the zero key, and replays them through p.
 func run(p *Pipeline, steps []evm.Step, ann []Annotation, mem MemModel) uint64 {
+	var none types.Address
+	var noSlot types.Hash
 	for i := range steps {
-		syms.Intern(&steps[i])
+		code := syms.CodeAddr(steps[i].CodeID)
+		syms.Intern(&steps[i], &code, &none, &noSlot)
 	}
 	return p.Execute(steps, ann, NewHotPlan(steps, ann), mem)
 }
@@ -234,7 +241,7 @@ func TestCrossContractTagIsolation(t *testing.T) {
 	b := make([]evm.Step, len(a))
 	copy(b, a)
 	for i := range b {
-		b[i].CodeAddr = codeB
+		b[i].CodeID = idB
 		b[i].Op = []evm.Opcode{evm.PUSH1, evm.ORIGIN, evm.SUB, evm.STOP}[i]
 	}
 	run(p, a, nil, FlatMem{Cfg: cfg})
@@ -388,8 +395,8 @@ func TestFrameBoundaryEndsLine(t *testing.T) {
 	p := New(cfg)
 	steps := []evm.Step{
 		step(0, evm.PUSH1),
-		{PC: 2, Op: evm.CALLER, Depth: 2, CodeAddr: codeB}, // inner frame
-		{PC: 3, Op: evm.STOP, Depth: 2, CodeAddr: codeB},
+		{PC: 2, Op: evm.CALLER, Depth: 2, CodeID: idB}, // inner frame
+		{PC: 3, Op: evm.STOP, Depth: 2, CodeID: idB},
 	}
 	run(p, steps, nil, FlatMem{Cfg: cfg})
 	p.ResetStats()
@@ -513,11 +520,11 @@ func TestCallDepthLimitFrame(t *testing.T) {
 	cfg := ilpConfig()
 	mk := func(outer int) []evm.Step {
 		return []evm.Step{
-			{PC: 0, Op: evm.PUSH1, Depth: outer, CodeAddr: codeA},
-			{PC: 0, Op: evm.CALLER, Depth: outer + 1, CodeAddr: codeB},
-			{PC: 1, Op: evm.PUSH1, Depth: outer + 1, CodeAddr: codeB},
-			{PC: 3, Op: evm.MSTORE, Depth: outer + 1, CodeAddr: codeB},
-			{PC: 4, Op: evm.STOP, Depth: outer + 1, CodeAddr: codeB},
+			{PC: 0, Op: evm.PUSH1, Depth: outer, CodeID: idA},
+			{PC: 0, Op: evm.CALLER, Depth: outer + 1, CodeID: idB},
+			{PC: 1, Op: evm.PUSH1, Depth: outer + 1, CodeID: idB},
+			{PC: 3, Op: evm.MSTORE, Depth: outer + 1, CodeID: idB},
+			{PC: 4, Op: evm.STOP, Depth: outer + 1, CodeID: idB},
 		}
 	}
 	mem := FlatMem{Cfg: cfg}

@@ -206,6 +206,7 @@ func (p *PU) Run(plan *Plan, mem pipeline.MemModel) Cost {
 	}
 
 	p.pipe.SetFillMemo(plan.Memo)
+	p.pipe.SetSymbols(t.Syms)
 	cost.Pipeline = p.pipe.Execute(plan.Steps, plan.Ann, plan.Hot, mem)
 	cost.Total = cost.Load + cost.Pipeline
 	p.finish(t, cost)

@@ -23,8 +23,8 @@ func trace(addr types.Address, codeBytes int, ops ...evm.Opcode) *arch.TxTrace {
 	t.CodeLoads = []arch.CodeLoad{{Addr: addr, CodeBytes: codeBytes, Depth: 1}}
 	pc := uint64(0)
 	for _, op := range ops {
-		s := evm.Step{PC: pc, Op: op, Depth: 1, CodeAddr: addr}
-		syms.Intern(&s)
+		s := evm.Step{PC: pc, Op: op, Depth: 1}
+		syms.Intern(&s, &addr, &types.Address{}, &types.Hash{})
 		t.Steps = append(t.Steps, s)
 		pc += 1 + uint64(op.PushSize())
 	}

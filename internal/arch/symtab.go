@@ -1,6 +1,8 @@
 package arch
 
 import (
+	"encoding/binary"
+
 	"mtpu/internal/evm"
 	"mtpu/internal/types"
 )
@@ -30,7 +32,9 @@ type SymbolTable struct {
 
 	storageIDs map[storageKey]uint32
 	accountIDs map[types.Address]uint32
-	touchCount uint32
+	// touchKeys[id-1] is the key behind a TouchID; an account's key has
+	// a zero slot.
+	touchKeys []storageKey
 
 	// lastCodeAddr/lastCodeID memoize the previous lookup: consecutive
 	// steps nearly always execute the same contract.
@@ -54,7 +58,7 @@ func NewSymbolTable() *SymbolTable {
 
 // CodeID interns a code address.
 func (st *SymbolTable) CodeID(a types.Address) uint32 {
-	if st.lastCodeID != 0 && a == st.lastCodeAddr {
+	if st.lastCodeID != 0 && sameAddr(&a, &st.lastCodeAddr) {
 		return st.lastCodeID
 	}
 	id, ok := st.codeIDs[a]
@@ -65,6 +69,14 @@ func (st *SymbolTable) CodeID(a types.Address) uint32 {
 	}
 	st.lastCodeAddr, st.lastCodeID = a, id
 	return id
+}
+
+// sameAddr compares two addresses as three words; == on the 20-byte
+// arrays is a call to memequal, once per interned step.
+func sameAddr(a, b *types.Address) bool {
+	return binary.LittleEndian.Uint64(a[0:8]) == binary.LittleEndian.Uint64(b[0:8]) &&
+		binary.LittleEndian.Uint64(a[8:16]) == binary.LittleEndian.Uint64(b[8:16]) &&
+		binary.LittleEndian.Uint32(a[16:20]) == binary.LittleEndian.Uint32(b[16:20])
 }
 
 // CodeAddr returns the address behind a CodeID.
@@ -78,8 +90,8 @@ func (st *SymbolTable) StorageID(addr types.Address, slot types.Hash) uint32 {
 	k := storageKey{addr, slot}
 	id, ok := st.storageIDs[k]
 	if !ok {
-		st.touchCount++
-		id = st.touchCount
+		st.touchKeys = append(st.touchKeys, k)
+		id = uint32(len(st.touchKeys))
 		st.storageIDs[k] = id
 	}
 	return id
@@ -91,25 +103,33 @@ func (st *SymbolTable) StorageID(addr types.Address, slot types.Hash) uint32 {
 func (st *SymbolTable) AccountID(addr types.Address) uint32 {
 	id, ok := st.accountIDs[addr]
 	if !ok {
-		st.touchCount++
-		id = st.touchCount
+		st.touchKeys = append(st.touchKeys, storageKey{addr: addr})
+		id = uint32(len(st.touchKeys))
 		st.accountIDs[addr] = id
 	}
 	return id
 }
 
 // NumTouchIDs returns how many state-buffer keys are interned.
-func (st *SymbolTable) NumTouchIDs() int { return int(st.touchCount) }
+func (st *SymbolTable) NumTouchIDs() int { return len(st.touchKeys) }
 
-// Intern assigns step's CodeID and TouchID. The TouchID class follows
-// the opcode: storage ops intern their (addr, slot), state queries
-// their account; every other step leaves TouchID 0.
-func (st *SymbolTable) Intern(s *evm.Step) {
-	s.CodeID = st.CodeID(s.CodeAddr)
+// TouchKey returns the key behind a TouchID: the address and slot of a
+// storage key, or the account's address and a zero slot.
+func (st *SymbolTable) TouchKey(id uint32) (types.Address, types.Hash) {
+	k := &st.touchKeys[id-1]
+	return k.addr, k.slot
+}
+
+// Intern assigns step's CodeID from the address of the code executing
+// it, and its TouchID from the state it touches. The TouchID class
+// follows the opcode: storage ops intern their (touchAddr, touchSlot),
+// state queries their account; every other step leaves TouchID 0.
+func (st *SymbolTable) Intern(s *evm.Step, codeAddr, touchAddr *types.Address, touchSlot *types.Hash) {
+	s.CodeID = st.CodeID(*codeAddr)
 	switch {
 	case s.Op == evm.SLOAD || s.Op == evm.SSTORE:
-		s.TouchID = st.StorageID(s.TouchAddr, s.TouchSlot)
+		s.TouchID = st.StorageID(*touchAddr, *touchSlot)
 	case s.Op.Unit() == evm.FUStateQuery:
-		s.TouchID = st.AccountID(s.TouchAddr)
+		s.TouchID = st.AccountID(*touchAddr)
 	}
 }

@@ -27,6 +27,8 @@ type TxTrace struct {
 	Selector    [4]byte
 	HasSelector bool
 
+	// Steps is a capped window of the collecting block's step slab:
+	// appending to it copies, never writes into a neighbour's steps.
 	Steps     []evm.Step
 	CodeLoads []CodeLoad
 	GasUsed   uint64
@@ -45,6 +47,11 @@ type TxTrace struct {
 // InstructionCount returns the number of executed instructions.
 func (t *TxTrace) InstructionCount() int { return len(t.Steps) }
 
+// slabChunkSteps is the size of one chunk of a Collector's step slab.
+// A chunk is one allocation shared by many transactions' steps; larger
+// chunks cut the allocation count but leave more of the last one unused.
+const slabChunkSteps = 4096
+
 // Collector implements evm.Tracer, accumulating a TxTrace per transaction.
 type Collector struct {
 	trace *TxTrace
@@ -54,24 +61,29 @@ type Collector struct {
 	// ids stay consistent across the whole replay.
 	syms *SymbolTable
 
-	// stepHint/loadHint carry the previous transaction's trace sizes as
-	// capacity hints for the next one — blocks are dominated by runs of
-	// similar transactions, so the per-step appends stop regrowing.
-	stepHint int
+	// slab is the current chunk of the block's step slab: every step is
+	// appended here, and the running transaction's steps are
+	// slab[start:]. Finish hands them out as a capped window; a
+	// transaction that outgrows the chunk moves to a fresh one.
+	slab  []evm.Step
+	start int
+
+	// loadHint carries the previous transaction's code-load count as the
+	// capacity hint for the next one — blocks are dominated by runs of
+	// similar transactions, so the per-frame appends stop regrowing.
 	loadHint int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{trace: &TxTrace{}, syms: NewSymbolTable()}
+	return &Collector{syms: NewSymbolTable()}
 }
 
-// Begin resets the collector for a new transaction.
+// Begin starts the trace of a new transaction; every transaction's
+// execution is bracketed by Begin and Finish.
 func (c *Collector) Begin(tx *types.Transaction) {
 	t := &TxTrace{}
-	if c.stepHint > 0 {
-		t.Steps = make([]evm.Step, 0, c.stepHint)
-	}
+	c.start = len(c.slab)
 	if c.loadHint > 0 {
 		t.CodeLoads = make([]CodeLoad, 0, c.loadHint)
 	}
@@ -88,18 +100,17 @@ func (c *Collector) Begin(tx *types.Transaction) {
 	c.trace = t
 }
 
-// Finish returns the accumulated trace and resets.
+// Finish returns the accumulated trace.
 func (c *Collector) Finish(gasUsed uint64) *TxTrace {
 	t := c.trace
 	t.GasUsed = gasUsed
 	t.Syms = c.syms
-	if len(t.Steps) > 0 {
-		c.stepHint = len(t.Steps)
-	}
+	t.Steps = c.slab[c.start:len(c.slab):len(c.slab)]
+	c.start = len(c.slab)
 	if len(t.CodeLoads) > 0 {
 		c.loadHint = len(t.CodeLoads)
 	}
-	c.trace = &TxTrace{}
+	c.trace = nil
 	return t
 }
 
@@ -110,14 +121,32 @@ func (c *Collector) OnEnter(depth int, codeAddr types.Address, codeLen, inputLen
 		CodeBytes: codeLen,
 		InputLen:  inputLen,
 		Depth:     depth,
-		StepIndex: len(c.trace.Steps),
+		StepIndex: len(c.slab) - c.start,
 	})
 }
 
-// OnStep implements evm.Tracer.
-func (c *Collector) OnStep(step *evm.Step) {
-	c.trace.Steps = append(c.trace.Steps, *step)
-	c.syms.Intern(&c.trace.Steps[len(c.trace.Steps)-1])
+// OnStep implements evm.Tracer: the step is appended to the slab and
+// interned there; the addresses are interned and never stored.
+func (c *Collector) OnStep(step *evm.Step, codeAddr, touchAddr *types.Address, touchSlot *types.Hash) {
+	n := len(c.slab)
+	if n == cap(c.slab) {
+		c.newChunk()
+		n = len(c.slab)
+	}
+	c.slab = c.slab[:n+1]
+	s := &c.slab[n]
+	*s = *step
+	c.syms.Intern(s, codeAddr, touchAddr, touchSlot)
+}
+
+// newChunk starts a fresh slab chunk and moves the running
+// transaction's steps into it, so they stay contiguous. A transaction
+// longer than a chunk gets a chunk twice its length.
+func (c *Collector) newChunk() {
+	partial := c.slab[c.start:]
+	chunk := make([]evm.Step, len(partial), max(slabChunkSteps, 2*len(partial)))
+	copy(chunk, partial)
+	c.slab, c.start = chunk, 0
 }
 
 // OnExit implements evm.Tracer.

@@ -114,7 +114,7 @@ func CollectTraces(genesis *state.StateDB, block *types.Block) ([]*arch.TxTrace,
 func CollectTracesOn(st *state.StateDB, block *types.Block) ([]*arch.TxTrace, []*types.Receipt, types.Hash, error) {
 	e := evm.New(evm.NewBlockContext(block.Header), st)
 	col := arch.NewCollector()
-	e.Tracer = col
+	e.Tracer = wrapCollector(col)
 
 	traces := make([]*arch.TxTrace, len(block.Transactions))
 	receipts := make([]*types.Receipt, len(block.Transactions))

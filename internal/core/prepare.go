@@ -55,7 +55,7 @@ func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error)
 	ov := mvstate.NewOverlay(head, block.Header.Coinbase)
 	e := evm.New(evm.NewBlockContext(block.Header), ov)
 	col := arch.NewCollector()
-	e.Tracer = col
+	e.Tracer = wrapCollector(col)
 
 	traces := make([]*arch.TxTrace, n)
 	receipts := make([]*types.Receipt, n)
@@ -90,6 +90,11 @@ func PrepareBlock(head *mvstate.Snapshot, block *types.Block) (*Prepared, error)
 	}
 	return p, nil
 }
+
+// wrapCollector returns the tracer both decode paths (PrepareBlock and
+// CollectTraces) run under: their collector itself, or the wrapper
+// through which a test observes what the interpreter hands it.
+var wrapCollector = func(col *arch.Collector) evm.Tracer { return col }
 
 // DigestAt prices the prepared block's write-set on top of head and
 // returns the post-block state digest — equal to committing the block

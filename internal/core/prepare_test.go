@@ -51,26 +51,62 @@ func TestPrepareBlockDAGMatchesReplayConflicts(t *testing.T) {
 	}
 }
 
+// stepRefs is what the interpreter handed the collector beside a step.
+type stepRefs struct {
+	code, touch types.Address
+	slot        types.Hash
+}
+
+// recordingTracer wraps a decode's collector and records the addresses
+// and slot of every step it is handed, in execution order.
+type recordingTracer struct {
+	*arch.Collector
+	refs []stepRefs
+}
+
+func (r *recordingTracer) OnStep(s *evm.Step, code, touch *types.Address, slot *types.Hash) {
+	r.refs = append(r.refs, stepRefs{*code, *touch, *slot})
+	r.Collector.OnStep(s, code, touch, slot)
+}
+
 // TestDecodedTracesAreInterned holds both decode paths to what the
 // timing model now assumes of every trace: one symbol table per block,
-// every step carrying the CodeID of its own code address, and every
-// storage or state-query step carrying a TouchID.
+// every step carrying the CodeID of the code address the interpreter
+// ran it under, every storage step the TouchID of its (address, slot),
+// every state query the TouchID of its account, and no other step a
+// TouchID.
 func TestDecodedTracesAreInterned(t *testing.T) {
+	var rec *recordingTracer
+	plain := wrapCollector
+	wrapCollector = func(c *arch.Collector) evm.Tracer {
+		rec = &recordingTracer{Collector: c}
+		return rec
+	}
+	defer func() { wrapCollector = plain }()
 	for _, name := range workload.Scenarios {
 		src, err := workload.Spec{Kind: name, Blocks: 1, Txs: 40, Skew: 1.2, Seed: 29}.OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}
 		block, _ := src.Next()
-		collected, _, _, err := CollectTraces(src.Genesis(), block)
-		if err != nil {
-			t.Fatal(err)
+		decode := map[string]func() []*arch.TxTrace{
+			"CollectTraces": func() []*arch.TxTrace {
+				traces, _, _, err := CollectTraces(src.Genesis(), block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return traces
+			},
+			"PrepareBlock": func() []*arch.TxTrace {
+				prep, err := PrepareBlock(headOf(src.Genesis()), block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return prep.Traces
+			},
 		}
-		prep, err := PrepareBlock(headOf(src.Genesis()), block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for path, traces := range map[string][]*arch.TxTrace{"CollectTraces": collected, "PrepareBlock": prep.Traces} {
+		for path, run := range decode {
+			traces := run()
 			steps := 0
 			for i, tr := range traces {
 				if tr.Syms == nil || tr.Syms != traces[0].Syms {
@@ -78,18 +114,40 @@ func TestDecodedTracesAreInterned(t *testing.T) {
 				}
 				for j := range tr.Steps {
 					s := &tr.Steps[j]
-					steps++
-					if s.CodeID < 1 || tr.Syms.CodeAddr(s.CodeID) != s.CodeAddr {
-						t.Fatalf("%s %s: trace %d step %d (%s) has code id %d for %s", name, path, i, j, s.Op, s.CodeID, s.CodeAddr)
+					if steps >= len(rec.refs) {
+						t.Fatalf("%s %s: the traces hold more steps than the collector was handed", name, path)
 					}
-					touches := s.Op == evm.SLOAD || s.Op == evm.SSTORE || s.Op.Unit() == evm.FUStateQuery
-					if touches && s.TouchID < 1 {
+					want := rec.refs[steps]
+					steps++
+					if s.CodeID < 1 || tr.Syms.CodeAddr(s.CodeID) != want.code {
+						t.Fatalf("%s %s: trace %d step %d (%s) has code id %d, not the id of %s", name, path, i, j, s.Op, s.CodeID, want.code)
+					}
+					var wantTouch stepRefs
+					switch {
+					case s.Op == evm.SLOAD || s.Op == evm.SSTORE:
+						wantTouch = stepRefs{touch: want.touch, slot: want.slot}
+					case s.Op.Unit() == evm.FUStateQuery:
+						wantTouch = stepRefs{touch: want.touch}
+					default:
+						if s.TouchID != 0 {
+							t.Fatalf("%s %s: trace %d step %d (%s) touches nothing but has touch id %d", name, path, i, j, s.Op, s.TouchID)
+						}
+						continue
+					}
+					if s.TouchID < 1 {
 						t.Fatalf("%s %s: trace %d step %d (%s) has no touch id", name, path, i, j, s.Op)
+					}
+					if addr, slot := tr.Syms.TouchKey(s.TouchID); addr != wantTouch.touch || slot != wantTouch.slot {
+						t.Fatalf("%s %s: trace %d step %d (%s) has touch id %d for (%s, %s), handed (%s, %s)",
+							name, path, i, j, s.Op, s.TouchID, addr, slot, wantTouch.touch, wantTouch.slot)
 					}
 				}
 			}
 			if steps == 0 {
 				t.Fatalf("%s %s: no steps; the check proves nothing", name, path)
+			}
+			if steps != len(rec.refs) {
+				t.Fatalf("%s %s: the collector was handed %d steps, the traces hold %d", name, path, len(rec.refs), steps)
 			}
 		}
 	}

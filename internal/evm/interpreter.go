@@ -68,6 +68,19 @@ type EVM struct {
 
 	depth    int
 	readOnly bool
+
+	// cur is the instruction run hands the tracer. It lives on the EVM
+	// rather than in run's frame, so the pointers OnStep receives
+	// allocate nothing; run never reads it after OnStep, so a nested
+	// frame may overwrite it.
+	cur tracedStep
+}
+
+// tracedStep is a step and the addresses its ids will stand for.
+type tracedStep struct {
+	step                Step
+	codeAddr, touchAddr types.Address
+	touchSlot           types.Hash
 }
 
 // New returns an EVM bound to the given block context and state.
@@ -325,7 +338,8 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 		stack      = NewStack()
 		mem        = NewMemory()
 		returnData []byte
-		step       Step
+		cur        = &e.cur
+		step       = &cur.step
 		v1, v2, v3 uint256.Int
 	)
 
@@ -348,7 +362,9 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 
 		// Gas stage: constant + dynamic cost, charged before execution.
 		gasCost := info.gas
-		step = Step{PC: pc, Op: op, Depth: e.depth, StackLen: stack.Len(), CodeAddr: f.codeAddr}
+		*step = Step{PC: pc, Op: op, Depth: e.depth}
+		cur.codeAddr = f.codeAddr
+		cur.touchAddr, cur.touchSlot = types.Address{}, types.Hash{}
 
 		switch op {
 		case EXP:
@@ -386,7 +402,7 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 			gasCost += GasCopyWord * toWordSize(size.Uint64())
 			gasCost += memoryExpansionGas(mem.Len(), newSize)
 			step.MemBytes = size.Uint64()
-			step.TouchAddr = types.WordToAddress(stack.Back(0))
+			cur.touchAddr = types.WordToAddress(stack.Back(0))
 
 		case MLOAD, MSTORE:
 			newSize, overflow := memRange(stack.Back(0), uint256.NewInt(32))
@@ -407,22 +423,14 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 			step.MemBytes = 1
 
 		case JUMP:
-			if stack.Back(0).IsUint64() {
-				step.JumpTarget = stack.Back(0).Uint64()
-			}
 			step.BranchTaken = true
 
 		case JUMPI:
-			if !stack.Back(1).IsZero() {
-				if stack.Back(0).IsUint64() {
-					step.JumpTarget = stack.Back(0).Uint64()
-				}
-				step.BranchTaken = true
-			}
+			step.BranchTaken = !stack.Back(1).IsZero()
 
 		case SLOAD:
-			step.TouchAddr = f.address
-			step.TouchSlot = types.Hash(stack.Back(0).Bytes32())
+			cur.touchAddr = f.address
+			cur.touchSlot = types.Hash(stack.Back(0).Bytes32())
 
 		case SSTORE:
 			if e.readOnly {
@@ -434,18 +442,17 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 			switch {
 			case current.IsZero() && !newVal.IsZero():
 				gasCost += GasSstoreSet
-				step.SstoreSet = true
 			default:
 				gasCost += GasSstoreReset
 				if !current.IsZero() && newVal.IsZero() {
 					e.State.AddRefund(GasSstoreRefund)
 				}
 			}
-			step.TouchAddr = f.address
-			step.TouchSlot = slot
+			cur.touchAddr = f.address
+			cur.touchSlot = slot
 
 		case BALANCE, EXTCODESIZE, EXTCODEHASH:
-			step.TouchAddr = types.WordToAddress(stack.Back(0))
+			cur.touchAddr = types.WordToAddress(stack.Back(0))
 
 		case LOG0, LOG1, LOG2, LOG3, LOG4:
 			if e.readOnly {
@@ -485,7 +492,7 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 				}
 			}
 			gasCost += memoryExpansionGas(mem.Len(), newSize)
-			step.TouchAddr = types.WordToAddress(stack.Back(1))
+			cur.touchAddr = types.WordToAddress(stack.Back(1))
 
 		case DELEGATECALL, STATICCALL:
 			newSize, overflow := callMemRange(stack, 2)
@@ -493,7 +500,7 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 				return nil, ErrGasUintOverflow
 			}
 			gasCost += memoryExpansionGas(mem.Len(), newSize)
-			step.TouchAddr = types.WordToAddress(stack.Back(1))
+			cur.touchAddr = types.WordToAddress(stack.Back(1))
 
 		case CREATE, CREATE2:
 			if e.readOnly {
@@ -515,7 +522,7 @@ func (e *EVM) run(f *frame) (ret []byte, err error) {
 			return nil, ErrOutOfGas
 		}
 		step.GasCost = gasCost
-		e.Tracer.OnStep(&step)
+		e.Tracer.OnStep(step, &cur.codeAddr, &cur.touchAddr, &cur.touchSlot)
 
 		// Execute stage.
 		switch op {

@@ -80,7 +80,8 @@ func Table2(env *Env) []Table2Row {
 		for _, s := range t.Steps {
 			switch {
 			case s.Op == evm.SLOAD || s.Op == evm.SSTORE:
-				slots[s.TouchSlot] = true
+				_, slot := t.Syms.TouchKey(s.TouchID)
+				slots[slot] = true
 			case s.Op.Unit() == evm.FUStateQuery:
 				queries++
 			}

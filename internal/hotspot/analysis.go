@@ -19,8 +19,6 @@
 package hotspot
 
 import (
-	"encoding/binary"
-
 	"mtpu/internal/arch"
 	"mtpu/internal/evm"
 	"mtpu/internal/types"
@@ -94,28 +92,20 @@ func canonicalize(flags map[types.Address]pcFlags) {
 	}
 }
 
-// flagReader reads a flag map step by step, looking a row up only when
-// the executing code address changes.
+// flagReader reads a flag map step by step, looking a row up by the
+// address syms names only when the executing code id changes.
 type flagReader struct {
 	flags map[types.Address]pcFlags
-	addr  types.Address
+	syms  *arch.SymbolTable
+	id    uint32
 	row   pcFlags
-	ok    bool
 }
 
 func (r *flagReader) at(s *evm.Step) uint8 {
-	if !r.ok || !sameAddr(&s.CodeAddr, &r.addr) {
-		r.addr, r.row, r.ok = s.CodeAddr, r.flags[s.CodeAddr], true
+	if s.CodeID != r.id {
+		r.id, r.row = s.CodeID, r.flags[r.syms.CodeAddr(s.CodeID)]
 	}
 	return r.row.at(s.PC)
-}
-
-// sameAddr compares two addresses as three words; == on the 20-byte
-// arrays is a call to memequal, once per planned step.
-func sameAddr(a, b *types.Address) bool {
-	return binary.LittleEndian.Uint64(a[0:8]) == binary.LittleEndian.Uint64(b[0:8]) &&
-		binary.LittleEndian.Uint64(a[8:16]) == binary.LittleEndian.Uint64(b[8:16]) &&
-		binary.LittleEndian.Uint32(a[16:20]) == binary.LittleEndian.Uint32(b[16:20])
 }
 
 // analysis is the result of one trace analysis.
@@ -474,11 +464,12 @@ func analyzeTrace(t *arch.TxTrace) *analysis {
 	var row pcFlags
 	for i := range steps {
 		s := &steps[i]
-		if i == 0 || s.CodeAddr != addr {
+		if i == 0 || s.CodeID != steps[i-1].CodeID {
 			if i > 0 {
 				a.flags[addr] = row
 			}
-			addr, row = s.CodeAddr, a.flags[s.CodeAddr]
+			addr = t.Syms.CodeAddr(s.CodeID)
+			row = a.flags[addr]
 		}
 		row = row.grown(s.PC)
 		f := uint8(seen)
@@ -511,10 +502,11 @@ func analyzeTrace(t *arch.TxTrace) *analysis {
 	// contract, excluding the pre-executed prefix, are loaded.
 	executedBytes := make(map[types.Address]map[uint64]int)
 	for i := a.preExecLen; i < n; i++ {
-		m := executedBytes[steps[i].CodeAddr]
+		addr := t.Syms.CodeAddr(steps[i].CodeID)
+		m := executedBytes[addr]
 		if m == nil {
 			m = make(map[uint64]int)
-			executedBytes[steps[i].CodeAddr] = m
+			executedBytes[addr] = m
 		}
 		m[steps[i].PC] = 1 + steps[i].Op.PushSize()
 	}

@@ -24,7 +24,9 @@ import (
 // its input cannot grow the table without bound.
 const maxLearnedPaths = 8
 
-// pathStep is exactly what analyzeTrace reads of one evm.Step.
+// pathStep is exactly what analyzeTrace reads of one evm.Step, with the
+// code id resolved to its address: ids are per block, but the Contract
+// Table outlives blocks.
 type pathStep struct {
 	pc        uint64
 	memOffset uint64
@@ -35,13 +37,13 @@ type pathStep struct {
 	taken     bool
 }
 
-func pathStepOf(s *evm.Step) pathStep {
+func pathStepOf(s *evm.Step, syms *arch.SymbolTable) pathStep {
 	return pathStep{
 		pc:        s.PC,
 		memOffset: s.MemOffset,
 		memBytes:  s.MemBytes,
 		depth:     s.Depth,
-		codeAddr:  s.CodeAddr,
+		codeAddr:  syms.CodeAddr(s.CodeID),
 		op:        s.Op,
 		taken:     s.BranchTaken,
 	}
@@ -83,16 +85,24 @@ func addrWord(a *types.Address) uint64 {
 // The fields of one step are scaled independently and folded into the
 // running hash with a single dependent multiply, which is what keeps a
 // warm Learn cheap: the chain of dependent multiplies is one per step.
+// A step's code is hashed by its address, folded again only when the
+// code id changes, never by the id itself.
 func pathHash(t *arch.TxTrace) uint64 {
 	h := mix(uint64(len(t.Steps)), uint64(len(t.CodeLoads)))
+	var id uint32
+	var code uint64
 	for i := range t.Steps {
 		s := &t.Steps[i]
+		if s.CodeID != id {
+			addr := t.Syms.CodeAddr(s.CodeID)
+			id, code = s.CodeID, addrWord(&addr)
+		}
 		flags := uint64(s.Depth)<<9 | uint64(s.Op)<<1
 		if s.BranchTaken {
 			flags |= 1
 		}
 		h = mix(h, s.PC*0xff51afd7ed558ccd^flags*0xc4ceb9fe1a85ec53^
-			s.MemOffset*0x2545f4914f6cdd1d^s.MemBytes*0x9fb21c651e98df25^addrWord(&s.CodeAddr))
+			s.MemOffset*0x2545f4914f6cdd1d^s.MemBytes*0x9fb21c651e98df25^code)
 	}
 	for i := range t.CodeLoads {
 		cl := &t.CodeLoads[i]
@@ -118,7 +128,7 @@ func (p *learnedPath) equals(t *arch.TxTrace) bool {
 		return false
 	}
 	for i := range p.steps {
-		if p.steps[i] != pathStepOf(&t.Steps[i]) {
+		if p.steps[i] != pathStepOf(&t.Steps[i], t.Syms) {
 			return false
 		}
 	}
@@ -141,7 +151,7 @@ func (info *PathInfo) remember(hash uint64, t *arch.TxTrace) {
 		loads: make([]pathLoad, len(t.CodeLoads)),
 	}
 	for i := range t.Steps {
-		p.steps[i] = pathStepOf(&t.Steps[i])
+		p.steps[i] = pathStepOf(&t.Steps[i], t.Syms)
 	}
 	for i := range t.CodeLoads {
 		p.loads[i] = pathLoadOf(&t.CodeLoads[i])

@@ -11,35 +11,39 @@ import (
 
 // pathTrace is a small hand-built trace: a dispatcher prefix, a hashed
 // memory word and a nested frame, so every field the analyser reads has
-// a non-trivial value somewhere.
+// a non-trivial value somewhere. Its steps name their code through the
+// trace's own symbol table, as a collected block's do.
 func pathTrace() *arch.TxTrace {
 	token := types.HexToAddress("0x1000000000000000000000000000000000000001")
 	impl := types.HexToAddress("0x2000000000000000000000000000000000000002")
+	syms := arch.NewSymbolTable()
+	tok, imp := syms.CodeID(token), syms.CodeID(impl)
 	return &arch.TxTrace{
 		Contract:    token,
 		Selector:    [4]byte{0xa9, 0x05, 0x9c, 0xbb},
 		HasSelector: true,
 		Steps: []evm.Step{
-			{PC: 0, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 2, Op: evm.CALLDATALOAD, Depth: 1, CodeAddr: token},
-			{PC: 3, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 5, Op: evm.JUMPI, Depth: 1, CodeAddr: token, BranchTaken: true},
-			{PC: 9, Op: evm.JUMPDEST, Depth: 1, CodeAddr: token},
-			{PC: 10, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 12, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 14, Op: evm.MSTORE, Depth: 1, CodeAddr: token, MemOffset: 0, MemBytes: 32},
-			{PC: 15, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 17, Op: evm.PUSH1, Depth: 1, CodeAddr: token},
-			{PC: 19, Op: evm.SHA3, Depth: 1, CodeAddr: token, MemOffset: 0, MemBytes: 64},
-			{PC: 20, Op: evm.SLOAD, Depth: 1, CodeAddr: token},
-			{PC: 0, Op: evm.PUSH1, Depth: 2, CodeAddr: impl},
-			{PC: 2, Op: evm.SLOAD, Depth: 2, CodeAddr: impl},
-			{PC: 21, Op: evm.STOP, Depth: 1, CodeAddr: token},
+			{PC: 0, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 2, Op: evm.CALLDATALOAD, Depth: 1, CodeID: tok},
+			{PC: 3, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 5, Op: evm.JUMPI, Depth: 1, CodeID: tok, BranchTaken: true},
+			{PC: 9, Op: evm.JUMPDEST, Depth: 1, CodeID: tok},
+			{PC: 10, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 12, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 14, Op: evm.MSTORE, Depth: 1, CodeID: tok, MemOffset: 0, MemBytes: 32},
+			{PC: 15, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 17, Op: evm.PUSH1, Depth: 1, CodeID: tok},
+			{PC: 19, Op: evm.SHA3, Depth: 1, CodeID: tok, MemOffset: 0, MemBytes: 64},
+			{PC: 20, Op: evm.SLOAD, Depth: 1, CodeID: tok},
+			{PC: 0, Op: evm.PUSH1, Depth: 2, CodeID: imp},
+			{PC: 2, Op: evm.SLOAD, Depth: 2, CodeID: imp},
+			{PC: 21, Op: evm.STOP, Depth: 1, CodeID: tok},
 		},
 		CodeLoads: []arch.CodeLoad{
 			{Addr: token, CodeBytes: 4000, InputLen: 68, Depth: 1},
 			{Addr: impl, CodeBytes: 900, InputLen: 36, Depth: 2, StepIndex: 12},
 		},
+		Syms: syms,
 	}
 }
 
@@ -64,9 +68,14 @@ func TestPathCoversEveryAnalyzedField(t *testing.T) {
 		t.Fatal("a learned path is not remembered")
 	}
 
+	// A step's code id counts through the address it names.
 	covered := map[string]func(tr *arch.TxTrace){
-		"Steps.CodeAddr":      func(tr *arch.TxTrace) { tr.Steps[13].CodeAddr = other },
-		"Steps.CodeAddr tail": func(tr *arch.TxTrace) { tr.Steps[13].CodeAddr[19] ^= 1 },
+		"Steps.CodeID": func(tr *arch.TxTrace) { tr.Steps[13].CodeID = tr.Syms.CodeID(other) },
+		"Steps.CodeID tail": func(tr *arch.TxTrace) {
+			addr := tr.Syms.CodeAddr(tr.Steps[13].CodeID)
+			addr[19] ^= 1
+			tr.Steps[13].CodeID = tr.Syms.CodeID(addr)
+		},
 		"Steps.PC":            func(tr *arch.TxTrace) { tr.Steps[6].PC++ },
 		"Steps.Op":            func(tr *arch.TxTrace) { tr.Steps[11].Op = evm.BALANCE },
 		"Steps.Depth":         func(tr *arch.TxTrace) { tr.Steps[12].Depth = 3 },
@@ -93,19 +102,16 @@ func TestPathCoversEveryAnalyzedField(t *testing.T) {
 		}
 	}
 
+	// Renumbering the code ids over the same addresses, as another
+	// block's symbol table does, is the same path.
 	ignored := map[string]func(tr *arch.TxTrace){
-		"Steps.GasCost":       func(tr *arch.TxTrace) { tr.Steps[4].GasCost = 99 },
-		"Steps.StackLen":      func(tr *arch.TxTrace) { tr.Steps[4].StackLen = 7 },
-		"Steps.TouchAddr":     func(tr *arch.TxTrace) { tr.Steps[11].TouchAddr = other },
-		"Steps.TouchSlot":     func(tr *arch.TxTrace) { tr.Steps[11].TouchSlot[31] = 9 },
-		"Steps.SstoreSet":     func(tr *arch.TxTrace) { tr.Steps[11].SstoreSet = true },
-		"Steps.JumpTarget":    func(tr *arch.TxTrace) { tr.Steps[3].JumpTarget = 9 },
-		"Steps.CodeID":        func(tr *arch.TxTrace) { tr.Steps[0].CodeID = 5 },
-		"Steps.TouchID":       func(tr *arch.TxTrace) { tr.Steps[11].TouchID = 5 },
-		"CodeLoads.InputLen":  func(tr *arch.TxTrace) { tr.CodeLoads[0].InputLen = 4 },
-		"CodeLoads.Depth":     func(tr *arch.TxTrace) { tr.CodeLoads[1].Depth = 5 },
-		"CodeLoads.StepIndex": func(tr *arch.TxTrace) { tr.CodeLoads[1].StepIndex = 3 },
-		"GasUsed":             func(tr *arch.TxTrace) { tr.GasUsed = 21000 },
+		"Steps.GasCost":           func(tr *arch.TxTrace) { tr.Steps[4].GasCost = 99 },
+		"Steps.CodeID renumbered": func(tr *arch.TxTrace) { *tr = *RenumberCodeIDs([]*arch.TxTrace{tr})[0] },
+		"Steps.TouchID":           func(tr *arch.TxTrace) { tr.Steps[11].TouchID = 5 },
+		"CodeLoads.InputLen":      func(tr *arch.TxTrace) { tr.CodeLoads[0].InputLen = 4 },
+		"CodeLoads.Depth":         func(tr *arch.TxTrace) { tr.CodeLoads[1].Depth = 5 },
+		"CodeLoads.StepIndex":     func(tr *arch.TxTrace) { tr.CodeLoads[1].StepIndex = 3 },
+		"GasUsed":                 func(tr *arch.TxTrace) { tr.GasUsed = 21000 },
 	}
 	for name, perturb := range ignored {
 		tr := cloneTrace(base)

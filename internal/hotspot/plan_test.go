@@ -10,6 +10,7 @@ import (
 
 	"mtpu/internal/arch"
 	"mtpu/internal/arch/pipeline"
+	"mtpu/internal/arch/pu"
 	"mtpu/internal/evm"
 	"mtpu/internal/hotspot"
 	"mtpu/internal/types"
@@ -106,7 +107,7 @@ func checkPlans(t *testing.T, name string, table *hotspot.ContractTable, traces 
 		var steps []evm.Step
 		var ann []pipeline.Annotation
 		for i := range tr.Steps {
-			k := refPC{tr.Steps[i].CodeAddr, tr.Steps[i].PC}
+			k := refPC{tr.Syms.CodeAddr(tr.Steps[i].CodeID), tr.Steps[i].PC}
 			if i < ref.preExecLen || ref.skip[k] {
 				continue
 			}
@@ -160,13 +161,14 @@ func TestPlanProxySharedPCs(t *testing.T) {
 		}
 		byPC := make(map[uint64]types.Address)
 		for _, s := range tr.Steps {
+			code := tr.Syms.CodeAddr(s.CodeID)
 			other, ok := byPC[s.PC]
 			if !ok {
-				byPC[s.PC] = s.CodeAddr
+				byPC[s.PC] = code
 				continue
 			}
-			a, b := refPC{other, s.PC}, refPC{s.CodeAddr, s.PC}
-			if other != s.CodeAddr && (ref.skip[a] != ref.skip[b] || ref.constOps[a] != ref.constOps[b]) {
+			a, b := refPC{other, s.PC}, refPC{code, s.PC}
+			if other != code && (ref.skip[a] != ref.skip[b] || ref.constOps[a] != ref.constOps[b]) {
 				return // a shared pc annotated differently under the two addresses
 			}
 		}
@@ -185,9 +187,10 @@ func TestPlanPCBeyondRow(t *testing.T) {
 	ext.Steps = append([]evm.Step(nil), base.Steps...)
 	stranger := types.HexToAddress("0x00000000000000000000000000000000000fee01")
 	for _, addr := range []types.Address{base.Contract, stranger} {
+		id := base.Syms.CodeID(addr)
 		ext.Steps = append(ext.Steps,
-			evm.Step{PC: 1 << 16, Op: evm.PUSH1, Depth: 1, CodeAddr: addr},
-			evm.Step{PC: 1<<16 + 2, Op: evm.POP, Depth: 1, CodeAddr: addr})
+			evm.Step{PC: 1 << 16, Op: evm.PUSH1, Depth: 1, CodeID: id},
+			evm.Step{PC: 1<<16 + 2, Op: evm.POP, Depth: 1, CodeID: id})
 	}
 	checkPlans(t, "beyond", table, []*arch.TxTrace{base, &ext})
 	plain, extended := table.Plan(base), table.Plan(&ext)
@@ -267,5 +270,65 @@ func TestMarshalJSONGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("persisted table differs from testdata/table.golden.json (%d bytes, want %d)", len(got), len(want))
+	}
+}
+
+// resolvedStep is a planned step with its ids replaced by the keys they
+// name, so plans from blocks with different symbol tables compare.
+type resolvedStep struct {
+	step        evm.Step
+	code, touch types.Address
+	slot        types.Hash
+}
+
+func resolvedSteps(p *pu.Plan) []resolvedStep {
+	out := make([]resolvedStep, len(p.Steps))
+	for i, s := range p.Steps {
+		r := resolvedStep{code: p.Trace.Syms.CodeAddr(s.CodeID)}
+		if s.TouchID != 0 {
+			r.touch, r.slot = p.Trace.Syms.TouchKey(s.TouchID)
+		}
+		s.CodeID, s.TouchID = 0, 0
+		r.step = s
+		out[i] = r
+	}
+	return out
+}
+
+// TestLearnAcrossBlocksResolvesCodeIDs learns a FiatTokenProxy batch,
+// then offers the same paths from a later block whose symbol table
+// interns the proxy and its implementation under other code ids. The
+// Contract Table outlives blocks, so every path must count as merged —
+// no new analysis — and every plan must equal the first block's once
+// ids are resolved.
+func TestLearnAcrossBlocksResolvesCodeIDs(t *testing.T) {
+	_, _, blockA := fixture(t, "FiatTokenProxy", 20)
+	blockB := hotspot.RenumberCodeIDs(blockA)
+	a0, b0 := blockA[0], blockB[0]
+	if a0.Syms.CodeAddr(a0.Steps[0].CodeID) != b0.Syms.CodeAddr(b0.Steps[0].CodeID) ||
+		a0.Steps[0].CodeID == b0.Steps[0].CodeID {
+		t.Fatal("the two blocks do not intern the contract under different ids; the case is not exercised")
+	}
+
+	table := learn(blockA)
+	analyzed, reused := table.LearnCounts()
+	for _, tr := range blockB {
+		table.Learn(tr)
+	}
+	if a, r := table.LearnCounts(); a != analyzed || r != reused+uint64(len(blockB)) {
+		t.Fatalf("block B: analysed %d more and reused %d more of %d traces, want 0 and all",
+			a-analyzed, r-reused, len(blockB))
+	}
+	for i := range blockA {
+		pa, pb := table.Plan(blockA[i]), table.Plan(blockB[i])
+		switch {
+		case len(pa.Steps) == len(blockA[i].Steps):
+			t.Fatalf("trace %d: plan skips nothing; the case is not exercised", i)
+		case !reflect.DeepEqual(resolvedSteps(pa), resolvedSteps(pb)):
+			t.Fatalf("trace %d: planned steps differ between the blocks", i)
+		case !reflect.DeepEqual(pa.Ann, pb.Ann) || !reflect.DeepEqual(pa.LoadScale, pb.LoadScale) ||
+			pa.SkippedInstructions != pb.SkippedInstructions:
+			t.Fatalf("trace %d: annotations, load scaling or skip count differ between the blocks", i)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func (t *ContractTable) Plan(trace *arch.TxTrace) *pu.Plan {
 	}
 	// Count the kept steps first, so the plan's slices are exact.
 	pre := min(info.PreExecLen, len(trace.Steps))
-	r := flagReader{flags: info.Flags}
+	r := flagReader{flags: info.Flags, syms: trace.Syms}
 	kept := 0
 	for i := pre; i < len(trace.Steps); i++ {
 		if r.at(&trace.Steps[i])&pcSkip == 0 {
