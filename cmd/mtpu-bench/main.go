@@ -44,8 +44,10 @@ import (
 // ("build": module version, VCS revision/time); v7 added the
 // mainnet-shaped scenario sweep rows ("scenarios"); v8 replaced the
 // "stm" and "bse" rows with the scheduling grid's rows ("sched"), one
-// per (dep ratio, PU count) with a cell per engine replayed there.
-const reportSchema = 8
+// per (dep ratio, PU count) with a cell per engine replayed there; v9
+// added the per-repetition work counts to the perf rows (cycles, refill
+// scans, mallocs, bytes).
+const reportSchema = 9
 
 // artifactResult is one experiment's rendering plus its sweep summary.
 type artifactResult struct {
@@ -88,10 +90,11 @@ type benchReport struct {
 	// (fig14, fig15, fig16, baselines) ran — the source data of the
 	// EXPERIMENTS.md scheduling and software-baseline sections.
 	Sched []experiments.SchedPoint `json:"sched,omitempty"`
-	// Perf carries the simulator hot-loop throughput rows ("perf"
-	// artifact): host-side simulated-tx/s, the `make perf` regression
-	// gate's input. Unlike every other artifact these measure the
-	// simulator itself, so the numbers are machine-dependent.
+	// Perf carries the simulator hot-loop rows ("perf" artifact): the
+	// work one repetition does, which `make perf` gates, and host-side
+	// simulated-tx/s, which it reports. Unlike every other artifact
+	// these measure the simulator itself; the allocation counts depend
+	// on the toolchain and the rates on the machine.
 	Perf []experiments.PerfPoint `json:"perf,omitempty"`
 	// Scenarios carries the mainnet-shaped scenario sweep rows
 	// ("scenarios" artifact): every Zipfian traffic shape replayed as a
@@ -133,15 +136,13 @@ func realMain() int {
 	jsonPath := flag.String("json", "", "write a machine-readable wall-clock report to this file")
 	stats := flag.Bool("stats", false, "collect per-experiment counter snapshots (printed and merged into -json)")
 	validate := flag.String("validate", "", "validate a previously written -json report against the schema and exit")
-	perfBaseline := flag.String("perf-baseline", "", "compare the perf artifact's tx/s against this committed report and fail on regression")
-	perfMinRatio := flag.Float64("perf-min-ratio", 0.5, "minimum new/baseline tx/s ratio the -perf-baseline gate accepts")
+	perfBaseline := flag.String("perf-baseline", "", "compare the perf artifact's work counts against this committed report and fail when any moved")
 	perfOnly := flag.String("perf-only", "", "run only perf points whose name contains this substring (profiling aid)")
 	perfWall := flag.Duration("perf-wall", experiments.DefaultPerfWall, "per-point measurement budget of the perf artifact")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-	ledgerPath := flag.String("ledger", "", "append a JSONL run-ledger entry (env fingerprint + workloads + telemetry) to this file")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live metrics (Prometheus text, expvar, pprof) on this address while running")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Usage = usage
@@ -162,8 +163,8 @@ func realMain() int {
 		usage()
 		return 2
 	}
-	profiles := profiling.Profiles{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile}
-	stopProfiles, err := profiling.StartAll(profiles)
+	stopProfiles, err := profiling.StartAll(profiling.Profiles{
+		CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mtpu-bench: %v\n", err)
 		return 1
@@ -184,10 +185,8 @@ func realMain() int {
 	if *stats {
 		env.Stats = experiments.NewStatsRecorder()
 	}
-	if *ledgerPath != "" || *telemetryAddr != "" {
-		env.Tel = telemetry.New()
-	}
 	if *telemetryAddr != "" {
+		env.Tel = telemetry.New()
 		addr, stopServe, err := env.Tel.Serve(*telemetryAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mtpu-bench: telemetry listener: %v\n", err)
@@ -363,11 +362,12 @@ func realMain() int {
 	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 
 	if *perfBaseline != "" {
-		if err := gatePerf(*perfBaseline, perfPoints, *perfMinRatio); err != nil {
+		if err := gatePerf(*perfBaseline, perfPoints); err != nil {
 			fmt.Fprintf(os.Stderr, "mtpu-bench: perf gate: %v\n", err)
 			return 1
 		}
-		fmt.Printf("perf gate: ok (every point >= %.2fx the %s baseline)\n", *perfMinRatio, *perfBaseline)
+		fmt.Printf("perf gate: ok (every work count equals the %s baseline; allocations within %.0f%%)\n",
+			*perfBaseline, perfAllocTolerance*100)
 	}
 
 	if env.Stats != nil {
@@ -391,61 +391,34 @@ func realMain() int {
 		}
 	}
 
-	if *ledgerPath != "" {
-		entry := telemetry.NewEntry("mtpu-bench", flag.Args())
-		entry.ConfigHash = telemetry.ConfigHash(report.Arch)
-		entry.Profiles = profiles.Paths()
-		entry.Workloads = reportWorkloads(&report)
-		if env.Tel != nil {
-			snap := env.Tel.Snapshot()
-			entry.Telemetry = &snap
-		}
-		if err := telemetry.Append(*ledgerPath, entry); err != nil {
-			fmt.Fprintf(os.Stderr, "mtpu-bench: ledger: %v\n", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// reportWorkloads flattens a report to the ledger's comparable
-// workloads: perf rows as host tx/s under the same perf/<name> keys
-// telemetry.LoadArtifact derives from a raw report, plus each
-// experiment's sweep-points-per-second as a coarse wall-clock proxy.
-func reportWorkloads(r *benchReport) []telemetry.Workload {
-	var out []telemetry.Workload
-	for _, p := range r.Perf {
-		out = append(out, telemetry.Workload{Key: "perf/" + p.Name, Value: p.TxPerSec, Unit: "tx/s"})
-	}
-	for _, e := range r.Experiments {
-		if e.Name == "perf" || e.Points == 0 || e.WallMS <= 0 {
-			continue
-		}
-		out = append(out, telemetry.Workload{
-			Key:   "bench/" + e.Name,
-			Value: float64(e.Points) / (e.WallMS / 1000),
-			Unit:  "points/s",
-		})
-	}
-	return out
 }
 
 // validateReport strictly decodes a -json report and checks the schema
 // invariants: known schema version, non-empty self-description, sane
 // per-experiment numbers, and internally consistent counters.
 func validateReport(path string) error {
+	_, err := decodeReport(path)
+	return err
+}
+
+// decodeReport is validateReport returning the checked report.
+func decodeReport(path string) (*benchReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	var r benchReport
 	if err := dec.Decode(&r); err != nil {
-		return fmt.Errorf("decoding: %w", err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
-	return checkReport(&r)
+	if err := checkReport(&r); err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // finite rejects NaN and ±Inf — values encoding/json would never emit
@@ -521,11 +494,19 @@ func checkReport(r *benchReport) error {
 		if p.Txs < 1 || p.Reps < 1 {
 			return fmt.Errorf("perf %s: bad volume (txs=%d reps=%d)", p.Name, p.Txs, p.Reps)
 		}
+		// Every case executes instructions and allocates (a replay
+		// returns its result on the heap), so a zero here is a row
+		// without its work counts, which the perf gate cannot compare.
+		if p.Instructions == 0 || !(p.MallocsPerRep > 0) || !(p.BytesPerRep > 0) {
+			return fmt.Errorf("perf %s: missing work counts (instructions=%d mallocs_per_rep=%v bytes_per_rep=%v)",
+				p.Name, p.Instructions, p.MallocsPerRep, p.BytesPerRep)
+		}
 		for _, v := range []struct {
 			name string
 			val  float64
 		}{
 			{"wall_ms", p.WallMS}, {"tx_per_sec", p.TxPerSec}, {"instr_per_sec", p.InstrPerSec},
+			{"mallocs_per_rep", p.MallocsPerRep}, {"bytes_per_rep", p.BytesPerRep},
 		} {
 			if err := finite(fmt.Sprintf("perf %s: %s", p.Name, v.name), v.val); err != nil {
 				return err
@@ -665,42 +646,83 @@ func checkReport(r *benchReport) error {
 	return nil
 }
 
+// perfAllocTolerance is how far a perf point's mallocs and bytes per
+// repetition may move from the baseline in either direction. Both are
+// stable to well under 0.1 % between runs and under any host load (they
+// count allocations, not time), so 5 % is a real change in the work.
+const perfAllocTolerance = 0.05
+
 // gatePerf compares freshly measured perf points against the committed
-// baseline report through the same telemetry.Compare path mtpu-report
-// uses, so a gate failure prints the full per-workload ratio table
-// rather than just the first offender. The threshold is deliberately
-// loose — it catches an order-of-magnitude hot-loop regression, not
-// machine-to-machine noise between the committing and the CI host.
-func gatePerf(baselinePath string, points []experiments.PerfPoint, minRatio float64) error {
-	if len(points) == 0 {
-		return fmt.Errorf("no perf points measured (did the run include the perf artifact?)")
-	}
-	base, err := telemetry.LoadArtifact(baselinePath)
+// baseline report, decoded and checked as -validate does, and fails when
+// any point's work moved (see comparePerf).
+func gatePerf(baselinePath string, points []experiments.PerfPoint) error {
+	base, err := decodeReport(baselinePath)
 	if err != nil {
-		return err
+		return fmt.Errorf("baseline %s: %w", baselinePath, err)
 	}
-	hasPerf := false
-	for _, w := range base.Workloads {
-		if strings.HasPrefix(w.Key, "perf/") {
-			hasPerf = true
-			break
+	if len(base.Perf) == 0 {
+		return fmt.Errorf("baseline %s carries no perf rows (regenerate it with the perf artifact)", baselinePath)
+	}
+	if diffs := comparePerf(base.Perf, points); len(diffs) > 0 {
+		for _, d := range diffs {
+			fmt.Fprintln(os.Stderr, "  "+d)
 		}
-	}
-	if !hasPerf {
-		return fmt.Errorf("%s carries no perf rows (regenerate it with the perf artifact)", baselinePath)
-	}
-	measured := &telemetry.Artifact{Path: "measured", Kind: "bench"}
-	for _, p := range points {
-		measured.Workloads = append(measured.Workloads,
-			telemetry.Workload{Key: "perf/" + p.Name, Value: p.TxPerSec, Unit: "tx/s"})
-	}
-	cmp := telemetry.Compare([]*telemetry.Artifact{base, measured}, minRatio)
-	if regs := cmp.Regressions(); len(regs) > 0 {
-		fmt.Fprint(os.Stderr, cmp.Render())
-		return fmt.Errorf("%d perf workload(s) below %.2fx the %s baseline (table above)",
-			len(regs), minRatio, baselinePath)
+		return fmt.Errorf("%d difference(s) from the %s baseline (listed above); a change that moves the work "+
+			"by design regenerates the baseline", len(diffs), baselinePath)
 	}
 	return nil
+}
+
+// comparePerf lists every way the measured points differ from the
+// baseline's: a point on one side only, any simulated count (txs,
+// instructions, cycles, refill scans) not exactly equal, or mallocs or
+// bytes per repetition off by more than perfAllocTolerance. Host rates
+// are not compared.
+func comparePerf(base, measured []experiments.PerfPoint) []string {
+	var diffs []string
+	byName := make(map[string]experiments.PerfPoint, len(base))
+	for _, b := range base {
+		byName[b.Name] = b
+	}
+	for _, m := range measured {
+		b, ok := byName[m.Name]
+		if !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: not in the baseline", m.Name))
+			continue
+		}
+		delete(byName, m.Name)
+		for _, c := range []struct {
+			name      string
+			base, got uint64
+		}{
+			{"txs", uint64(b.Txs), uint64(m.Txs)},
+			{"instructions", b.Instructions, m.Instructions},
+			{"cycles", b.Cycles, m.Cycles},
+			{"refill_scans", b.RefillScans, m.RefillScans},
+		} {
+			if c.base != c.got {
+				diffs = append(diffs, fmt.Sprintf("%s: %s %d, baseline %d", m.Name, c.name, c.got, c.base))
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			base, got float64
+		}{
+			{"mallocs_per_rep", b.MallocsPerRep, m.MallocsPerRep},
+			{"bytes_per_rep", b.BytesPerRep, m.BytesPerRep},
+		} {
+			if !(math.Abs(c.got-c.base) <= perfAllocTolerance*c.base) {
+				diffs = append(diffs, fmt.Sprintf("%s: %s %.1f, baseline %.1f (%+.1f%%, limit ±%.0f%%)",
+					m.Name, c.name, c.got, c.base, 100*(c.got/c.base-1), 100*perfAllocTolerance))
+			}
+		}
+	}
+	for _, b := range base {
+		if _, missed := byName[b.Name]; missed {
+			diffs = append(diffs, fmt.Sprintf("%s: in the baseline but not measured", b.Name))
+		}
+	}
+	return diffs
 }
 
 // gridArtifacts names the engines whose grid cells each scheduling
@@ -757,7 +779,8 @@ ARTIFACT is one of:
             scheduling (the fig14-16 grid at 2/4/8 PUs x dep 0/.3/.6/1)
   scenarios mainnet-shaped Zipfian scenario chains (erc20-mix, dex,
             nft-mint, airdrop, oracle) on every engine at each PU count
-  perf      simulator hot-loop throughput (host-side simulated-tx/s)
+  perf      simulator hot loop: work per repetition (instructions,
+            cycles, refill scans, mallocs, bytes) and host tx/s
   all       everything above
 registered execution engines: `+strings.Join(engine.Names(), ", ")+`
 flags:
@@ -770,12 +793,12 @@ flags:
                run metadata (schema, go version, arch config)
   -validate F  strictly decode a -json report, check the schema
                invariants, and exit
-  -perf-baseline F  after running, compare the perf artifact's tx/s
-               against the committed report F and fail on regression
-               (printing the mtpu-report ratio table)
-  -perf-min-ratio R minimum new/baseline tx/s the gate accepts (0.5)
-  -ledger F    append a JSONL run-ledger entry: build + host
-               fingerprint, per-workload throughput, telemetry snapshot
+  -perf-baseline F  after running, compare the perf artifact's work
+               counts against the committed report F and fail, listing
+               each difference, unless every simulated count is equal
+               and mallocs and bytes per repetition are within 5%
+  -perf-only S run only perf points whose name contains S
+  -perf-wall D per-point measurement budget of the perf artifact
   -telemetry-addr A  serve live metrics on A while running
                (/metrics Prometheus text, /snapshot JSON, /debug/vars,
                /debug/pprof)

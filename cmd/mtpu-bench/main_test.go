@@ -13,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"mtpu/internal/arch"
 	"mtpu/internal/experiments"
+	"mtpu/internal/telemetry"
 )
 
 // loadArtifact decodes the checked-in sweep artifact into a generic
@@ -222,29 +224,120 @@ func benchMain(t *testing.T, args ...string) int {
 	return realMain()
 }
 
-// TestUnwritableLedgerExitsNonzero: a bench run whose ledger entry
-// cannot be written must exit non-zero — and because realMain returns
-// instead of calling os.Exit, the deferred profile flush still ran.
-func TestUnwritableLedgerExitsNonzero(t *testing.T) {
+// TestUnwritableJSONExitsNonzero: a bench run whose -json report cannot
+// be written must exit non-zero — and because realMain returns instead
+// of calling os.Exit, the deferred profile flush still ran.
+func TestUnwritableJSONExitsNonzero(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code := benchMain(t, "-ledger", filepath.Join(blocker, "ledger.jsonl"), "table1")
+	code := benchMain(t, "-json", filepath.Join(blocker, "report.json"), "table1")
 	if code == 0 {
-		t.Fatal("unwritable ledger path exited 0")
+		t.Fatal("unwritable -json path exited 0")
+	}
+}
+
+// perfReport is a minimal valid report around the given perf rows.
+func perfReport(points []experiments.PerfPoint) *benchReport {
+	return &benchReport{
+		Schema: reportSchema, GoVersion: "go1", Build: telemetry.BuildInfo{GoVersion: "go1"},
+		Parallel: 1, GOMAXPROCS: 1, Arch: arch.DefaultConfig(),
+		Experiments: []experimentReport{{Name: "perf", WallMS: 1, Points: len(points)}},
+		Perf:        points, TotalWallMS: 1,
+	}
+}
+
+// TestPerfGate drives the perf gate from a synthetic baseline file and
+// measured rows: every simulated count must match exactly, allocations
+// within 5 %, host rates never gate, and a baseline without the counts
+// is an error rather than a pass.
+func TestPerfGate(t *testing.T) {
+	rows := func() []experiments.PerfPoint {
+		return []experiments.PerfPoint{
+			{Name: "replay", Txs: 192, Instructions: 19189, Cycles: 16500, RefillScans: 54720,
+				MallocsPerRep: 1000, BytesPerRep: 40000, Reps: 500, WallMS: 250, TxPerSec: 4e5, InstrPerSec: 4e7},
+			{Name: "fold", Txs: 32, Instructions: 3219,
+				MallocsPerRep: 2269, BytesPerRep: 9e5, Reps: 200, WallMS: 250, TxPerSec: 2.5e4, InstrPerSec: 2.5e6},
+		}
+	}
+	write := func(r *benchReport) string {
+		buf, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	baseline := write(perfReport(rows()))
+	for _, tc := range []struct {
+		name   string
+		edit   func(p []experiments.PerfPoint) []experiments.PerfPoint
+		wantOK bool
+	}{
+		{"identical", nil, true},
+		{"instructions +1", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[0].Instructions++; return p }, false},
+		{"cycles -1", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[0].Cycles--; return p }, false},
+		{"refill scans +1", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[0].RefillScans++; return p }, false},
+		{"fold cycles +1", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[1].Cycles++; return p }, false},
+		{"mallocs +6%", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[0].MallocsPerRep *= 1.06; return p }, false},
+		{"mallocs +4%", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[0].MallocsPerRep *= 1.04; return p }, true},
+		{"mallocs -6%", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[1].MallocsPerRep *= 0.94; return p }, false},
+		{"bytes +6%", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[1].BytesPerRep *= 1.06; return p }, false},
+		{"bytes +4%", func(p []experiments.PerfPoint) []experiments.PerfPoint { p[1].BytesPerRep *= 1.04; return p }, true},
+		{"tx/s at 0.1x", func(p []experiments.PerfPoint) []experiments.PerfPoint {
+			for i := range p {
+				p[i].TxPerSec *= 0.1
+				p[i].InstrPerSec *= 0.1
+				p[i].WallMS *= 10
+			}
+			return p
+		}, true},
+		{"point missing", func(p []experiments.PerfPoint) []experiments.PerfPoint { return p[:1] }, false},
+		{"point added", func(p []experiments.PerfPoint) []experiments.PerfPoint {
+			return append(p, experiments.PerfPoint{Name: "new", Txs: 1, Instructions: 1, MallocsPerRep: 1, BytesPerRep: 1})
+		}, false},
+	} {
+		measured := rows()
+		if tc.edit != nil {
+			measured = tc.edit(measured)
+		}
+		err := gatePerf(baseline, measured)
+		if tc.wantOK && err != nil {
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		}
+		if !tc.wantOK && err == nil {
+			t.Errorf("%s: gate passed", tc.name)
+		}
+	}
+
+	// A baseline whose perf rows predate the work counts.
+	old := rows()
+	for i := range old {
+		old[i].Cycles, old[i].RefillScans, old[i].MallocsPerRep, old[i].BytesPerRep = 0, 0, 0, 0
+	}
+	if err := gatePerf(write(perfReport(old)), rows()); err == nil || !strings.Contains(err.Error(), "missing work counts") {
+		t.Errorf("baseline without work counts: err %v", err)
+	}
+	if err := gatePerf(write(perfReport(nil)), rows()); err == nil {
+		t.Error("baseline without perf rows passed")
 	}
 }
 
 // hostFields are the report fields that describe the host a sweep ran
 // on — wall-clock times, the rates derived from them, the repetitions a
-// fixed wall budget bought, and the toolchain — rather than the
-// simulated machine. Everything else in a report is a pure function of
+// fixed wall budget bought, the toolchain, and the perf rows' allocation
+// counts, which move with the toolchain — rather than the simulated
+// machine. Everything else in a report is a pure function of
 // (seed, parallel).
 var hostFields = map[string]bool{
 	"wall_ms": true, "total_wall_ms": true, "tx_per_sec": true,
 	"reps": true, "instr_per_sec": true,
 	"go_version": true, "build": true, "gomaxprocs": true,
+	"mallocs_per_rep": true, "bytes_per_rep": true,
 }
 
 // firstDifference returns the path of the first field, in sorted key

@@ -7,7 +7,7 @@
 //
 //	mtpu-run [-txs N] [-dep R] [-pus N] [-seed N] [-mode LIST] [-v]
 //	         [-dump F] [-load F] [-stats] [-trace-out F] [-verify-dag]
-//	         [-ledger F] [-telemetry-addr A] [-cpuprofile F] [-memprofile F]
+//	         [-telemetry-addr A] [-cpuprofile F] [-memprofile F]
 //	         [-blockprofile F] [-mutexprofile F]
 //	mtpu-run -diff FILE [-mode LIST]
 //	mtpu-run -version
@@ -23,7 +23,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"mtpu/internal/arch"
 	"mtpu/internal/core"
@@ -82,7 +81,6 @@ func realMain() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	blockProfile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile at exit to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-	ledgerPath := flag.String("ledger", "", "append a JSONL run-ledger entry (env fingerprint + per-mode throughput + telemetry) to this file")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve live metrics (Prometheus text, expvar, pprof) on this address while running")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -97,8 +95,8 @@ func realMain() int {
 		return 1
 	}
 
-	profiles := profiling.Profiles{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile}
-	stopProfiles, err := profiling.StartAll(profiles)
+	stopProfiles, err := profiling.StartAll(profiling.Profiles{
+		CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
 	if err != nil {
 		log.Printf("mtpu-run: %v", err)
 		return 1
@@ -192,10 +190,8 @@ func realMain() int {
 	acc.LearnHotspots(traces, 8)
 
 	var tel *telemetry.Metrics
-	if *ledgerPath != "" || *telemetryAddr != "" {
-		tel = telemetry.New()
-	}
 	if *telemetryAddr != "" {
+		tel = telemetry.New()
 		addr, stopServer, err := tel.Serve(*telemetryAddr)
 		if err != nil {
 			log.Printf("mtpu-run: %v", err)
@@ -214,26 +210,16 @@ func realMain() int {
 		"mode", "cycles", "speedup", "IPC", "hit", "util")
 	var baseline uint64 // first listed mode anchors the speedup column
 	var reports []*obs.Report
-	var workloads []telemetry.Workload
 	head := mvstate.NewStore(genesis, nil).Head()
 	for _, m := range modes {
 		opts := core.ReplayOpts{Head: head, Tel: tel}
 		if instrument {
 			opts.Obs = obs.NewCollector()
 		}
-		wallStart := time.Now()
 		res, err := acc.ReplayWith(block, traces, receipts, digest, m, opts)
-		wall := time.Since(wallStart)
 		if err != nil {
 			log.Printf("mtpu-run: %v: %v", m, err)
 			return 1
-		}
-		if tel != nil && wall > 0 {
-			workloads = append(workloads, telemetry.Workload{
-				Key:   fmt.Sprintf("run/%s/txs%d-dep%.2f-pus%d", m, len(block.Transactions), *dep, *pus),
-				Value: float64(len(block.Transactions)) / wall.Seconds(),
-				Unit:  "tx/s",
-			})
 		}
 		if baseline == 0 {
 			baseline = res.Cycles
@@ -281,20 +267,6 @@ func realMain() int {
 			return 1
 		}
 		fmt.Printf("\ntimeline written to %s — open in https://ui.perfetto.dev or chrome://tracing (one process per mode, one thread per PU)\n", *traceOut)
-	}
-
-	if *ledgerPath != "" {
-		entry := telemetry.NewEntry("mtpu-run", os.Args[1:])
-		entry.ConfigHash = telemetry.ConfigHash(cfg)
-		entry.Profiles = profiles.Paths()
-		entry.Workloads = workloads
-		snap := tel.Snapshot()
-		entry.Telemetry = &snap
-		if err := telemetry.Append(*ledgerPath, entry); err != nil {
-			log.Printf("mtpu-run: %v", err)
-			return 1
-		}
-		fmt.Printf("run ledger appended to %s (%d workloads)\n", *ledgerPath, len(workloads))
 	}
 	return 0
 }

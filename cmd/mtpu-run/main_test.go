@@ -19,28 +19,24 @@ func runMain(t *testing.T, args ...string) int {
 	return realMain()
 }
 
-// TestUnwritableLedgerExitsNonzero: a run whose ledger entry cannot be
+// TestUnwritableTraceOutExitsNonzero: a run whose timeline cannot be
 // written must exit non-zero — and because realMain returns instead of
 // calling os.Exit, the deferred profile/telemetry shutdowns still ran.
-func TestUnwritableLedgerExitsNonzero(t *testing.T) {
+func TestUnwritableTraceOutExitsNonzero(t *testing.T) {
 	blocker := filepath.Join(t.TempDir(), "blocker")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code := runMain(t, "-txs", "8", "-mode", "scalar",
-		"-ledger", filepath.Join(blocker, "ledger.jsonl"))
+		"-trace-out", filepath.Join(blocker, "trace.json"))
 	if code == 0 {
-		t.Fatal("unwritable ledger path exited 0")
+		t.Fatal("unwritable -trace-out path exited 0")
 	}
 }
 
-func TestRunWithLedgerExitsZero(t *testing.T) {
-	ledger := filepath.Join(t.TempDir(), "run.jsonl")
-	if code := runMain(t, "-txs", "8", "-mode", "scalar", "-ledger", ledger); code != 0 {
+func TestRunExitsZero(t *testing.T) {
+	if code := runMain(t, "-txs", "8", "-mode", "scalar"); code != 0 {
 		t.Fatalf("run exited %d", code)
-	}
-	if _, err := os.Stat(ledger); err != nil {
-		t.Fatalf("ledger not written: %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 //	mtpu-serve -source SPEC [-mode LIST] [-pus N] [-queue N]
 //	           [-shadow-sample R] [-shadow-log] [-verify-chain]
-//	           [-hotspot-top N] [-ledger F] [-telemetry-addr A]
+//	           [-hotspot-top N] [-telemetry-addr A]
 //	           [-cpuprofile F] [-memprofile F] [-blockprofile F]
 //	           [-mutexprofile F]
 //	mtpu-serve -addr :8573 [-unix PATH] [-genesis SPEC] [-mode NAME] ...
@@ -31,13 +31,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	"mtpu/internal/arch"
 	"mtpu/internal/engine"
 	"mtpu/internal/profiling"
 	"mtpu/internal/stream"
@@ -46,12 +46,13 @@ import (
 )
 
 func main() {
-	os.Exit(realMain(os.Args[1:]))
+	os.Exit(realMain(os.Args[1:], os.Stdout))
 }
 
 // realMain is main with an exit code instead of os.Exit, so deferred
-// profile flushes and server shutdowns run on every exit path.
-func realMain(args []string) int {
+// profile flushes and server shutdowns run on every exit path, and with
+// its standard output injected, so tests read the service report.
+func realMain(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("mtpu-serve", flag.ExitOnError)
 	mode := fs.String("mode", "spatial-temporal+redundancy+hotspot",
 		fmt.Sprintf("engine to execute blocks on; with -source, a comma list or \"all\" (registered: %s)",
@@ -67,7 +68,6 @@ func realMain(args []string) int {
 	addr := fs.String("addr", "", "serve block ingest over HTTP on this TCP address")
 	unixPath := fs.String("unix", "", "serve block ingest on this unix socket path")
 	genesisSpec := fs.String("genesis", "blocks=1,txs=64,seed=1", "chained workload spec the server's genesis state derives from, in -source's grammar (network mode; seed/txs/accounts size the account pool)")
-	ledgerPath := fs.String("ledger", "", "append a JSONL run-ledger entry (env fingerprint + per-engine throughput + telemetry) to this file")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve live metrics (Prometheus text, expvar, pprof) on this address while running")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -76,7 +76,7 @@ func realMain(args []string) int {
 	version := fs.Bool("version", false, "print build information and exit")
 	fs.Parse(args)
 	if *version {
-		fmt.Println(telemetry.Build())
+		fmt.Fprintln(stdout, telemetry.Build())
 		return 0
 	}
 	if *source == "" && *addr == "" && *unixPath == "" {
@@ -94,8 +94,8 @@ func realMain(args []string) int {
 		return 2
 	}
 
-	profiles := profiling.Profiles{CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile}
-	stopProfiles, err := profiling.StartAll(profiles)
+	stopProfiles, err := profiling.StartAll(profiling.Profiles{
+		CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
 		return 1
@@ -113,7 +113,7 @@ func realMain(args []string) int {
 			fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
 			return 1
 		}
-		fmt.Printf("telemetry: serving /metrics, /snapshot, /debug/vars, /debug/pprof on http://%s\n", taddr)
+		fmt.Fprintf(stdout, "telemetry: serving /metrics, /snapshot, /debug/vars, /debug/pprof on http://%s\n", taddr)
 		defer func() {
 			if err := stopServer(); err != nil {
 				log.Printf("mtpu-serve: telemetry server: %v", err)
@@ -145,7 +145,6 @@ func realMain(args []string) int {
 		Logf:          log.Printf,
 	}
 
-	var workloads []telemetry.Workload
 	code := 0
 	for _, m := range modes {
 		// A fresh stream per engine: -source replays its blocks, a pure
@@ -157,15 +156,9 @@ func realMain(args []string) int {
 		}
 		cfg.Mode = m
 		cfg.Genesis = src.Genesis()
-		rep, err := serveOne(cfg, src, *source != "", *addr, *unixPath)
+		rep, err := serveOne(cfg, src, *source != "", *addr, *unixPath, stdout)
 		if rep != nil {
-			fmt.Print(rep.Render())
-			if rep.Committed > 0 {
-				base := fmt.Sprintf("serve/%s/%s-pus%d", m, spec.Describe(), *pus)
-				workloads = append(workloads,
-					telemetry.Workload{Key: base, Value: rep.TxsPerSec, Unit: "tx/s"},
-					telemetry.Workload{Key: base + "/bps", Value: rep.BlocksPerSec, Unit: "blocks/s"})
-			}
+			fmt.Fprint(stdout, rep.Render())
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
@@ -183,28 +176,13 @@ func realMain(args []string) int {
 			code = 1
 		}
 	}
-
-	if *ledgerPath != "" {
-		acfg := arch.DefaultConfig()
-		acfg.NumPUs = *pus
-		entry := telemetry.NewEntry("mtpu-serve", args)
-		entry.ConfigHash = telemetry.ConfigHash(acfg)
-		entry.Profiles = profiles.Paths()
-		entry.Workloads = workloads
-		entry.Telemetry = &snap
-		if err := telemetry.Append(*ledgerPath, entry); err != nil {
-			fmt.Fprintf(os.Stderr, "mtpu-serve: %v\n", err)
-			return 1
-		}
-		fmt.Printf("run ledger appended to %s (%d workloads)\n", *ledgerPath, len(workloads))
-	}
 	return code
 }
 
 // serveOne runs one service lifetime: start the pipeline, optionally
 // start the listeners, feed the in-process source, drain on exhaustion
 // or signal, and return the report.
-func serveOne(cfg stream.Config, src *workload.Stream, replay bool, addr, unixPath string) (*stream.Report, error) {
+func serveOne(cfg stream.Config, src *workload.Stream, replay bool, addr, unixPath string, stdout io.Writer) (*stream.Report, error) {
 	svc, err := stream.New(cfg)
 	if err != nil {
 		return nil, err
@@ -218,7 +196,7 @@ func serveOne(cfg stream.Config, src *workload.Stream, replay bool, addr, unixPa
 			svc.Wait()
 			return nil, err
 		}
-		fmt.Printf("ingest: POST /blocks on %s\n", describeListeners(ingest.Addr, unixPath))
+		fmt.Fprintf(stdout, "ingest: POST /blocks on %s\n", describeListeners(ingest.Addr, unixPath))
 		defer ingest.Close()
 	}
 

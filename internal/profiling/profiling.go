@@ -26,17 +26,6 @@ type Profiles struct {
 	Mutex string
 }
 
-// Paths lists the non-empty profile paths (ledger stamping).
-func (p Profiles) Paths() []string {
-	var out []string
-	for _, s := range []string{p.CPU, p.Mem, p.Block, p.Mutex} {
-		if s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Start begins profiling per the flag values (empty strings disable).
 // The returned stop must be called exactly once before the process
 // exits; it is safe to call when no profile was requested.

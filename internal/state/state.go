@@ -429,7 +429,7 @@ func (s *StateDB) StorageSize(addr types.Address) int {
 
 // Footprint summarizes the state's size: live accounts, occupied
 // storage slots and deployed code bytes. It is a read-only walk meant
-// for once-per-invocation reporting (run-ledger entries, diagnostics),
+// for once-per-invocation reporting (mtpu-run -stats, diagnostics),
 // not for hot paths — shared read-only states are walked concurrently
 // by design, so nothing here may write.
 type Footprint struct {

@@ -6,18 +6,16 @@
 // per wall-second, block replay latency percentiles, DB-cache and
 // State-Buffer warm/cold splits, scheduler pick rates, and Block-STM
 // incarnation/abort rates — the run-time signals a long-running
-// execution service reports and a batch CLI stamps into its run
-// ledger.
+// execution service reports.
 //
 // Recording is off by default: every integration point holds a nil
 // *Metrics and pays one branch to skip it. When enabled, counters are
 // single atomic adds and latency samples are one histogram add — zero
 // allocations either way, safe for concurrent replays. Exposition has
-// three faces: a Prometheus text endpoint plus expvar and pprof on an
-// optional HTTP listener (Serve), a point-in-time Snapshot for JSON
-// artifacts, and a JSONL run ledger (ledger.go) with a regression
-// comparator (regress.go) shared by cmd/mtpu-report and the `make
-// perf` gate.
+// two faces: a Prometheus text endpoint plus expvar and pprof on an
+// optional HTTP listener (Serve), and a point-in-time Snapshot for JSON
+// artifacts. build.go fingerprints the binary and the host a
+// measurement came from.
 package telemetry
 
 import (
@@ -365,8 +363,7 @@ type STMSnapshot struct {
 }
 
 // Snapshot is a point-in-time JSON-able export of every metric plus
-// the derived sustained rates — the block every run-ledger entry
-// embeds.
+// the derived sustained rates (the /snapshot endpoint's body).
 type Snapshot struct {
 	UptimeMS float64 `json:"uptime_ms"`
 

@@ -346,16 +346,6 @@ func (s Spec) String() string {
 	return out
 }
 
-// Describe renders the stable ledger-key fragment identifying a chained
-// workload (no seed, no account pool — runs with different seeds of one
-// shape compare under one key).
-func (s Spec) Describe() string {
-	if s.isScenario() {
-		return fmt.Sprintf("%s-blocks%d-txs%d-skew%.2f", s.Kind, s.Blocks, s.Txs, s.Skew)
-	}
-	return fmt.Sprintf("blocks%d-txs%d-dep%.2f", s.Blocks, s.Txs, s.Dep)
-}
-
 // PureChainBlock builds the adversarial "one pure chain" corner: n token
 // transfers forming a single dependency chain (each transaction spends
 // the balance the previous one credited), so the DAG's critical path is

@@ -98,36 +98,34 @@ func TestStreamDeterminism(t *testing.T) {
 // Makefile's serve-smoke and scenario-smoke passes, the README examples,
 // the block-stream benchmark's four sources (bench/workloads.go, at its
 // default 30 s length and seed 1) and mtpu-serve's -genesis default — to
-// its parsed String(), its Describe() (the serve/<mode>/<describe>-pus<N>
-// ledger key, which must not move) and a hash of its genesis digest and
-// first three blocks' RLP. A generator edit that moves any of these
-// changes what every committed ledger, benchmark digest and smoke run
-// measures.
+// its parsed String() and a hash of its genesis digest and first three
+// blocks' RLP. A generator edit that moves any of these changes what
+// every benchmark digest and smoke run measures.
 func TestGoldenShapes(t *testing.T) {
-	cases := []struct{ in, str, describe, hash string }{
+	cases := []struct{ in, str, hash string }{
 		// Makefile serve-smoke (the first also README's and EXPERIMENTS.md's).
-		{"blocks=500,txs=32,dep=0.3,seed=1", "blocks=500,txs=32,dep=0.3,seed=1", "blocks500-txs32-dep0.30", "f850a2ff94d5ade457d74104"},
-		{"blocks=64,txs=24,dep=0.5,seed=2", "blocks=64,txs=24,dep=0.5,seed=2", "blocks64-txs24-dep0.50", "e003ddfe124e27beaaa75457"},
+		{"blocks=500,txs=32,dep=0.3,seed=1", "blocks=500,txs=32,dep=0.3,seed=1", "f850a2ff94d5ade457d74104"},
+		{"blocks=64,txs=24,dep=0.5,seed=2", "blocks=64,txs=24,dep=0.5,seed=2", "e003ddfe124e27beaaa75457"},
 		// mtpu-serve -genesis default.
-		{"blocks=1,txs=64,seed=1", "blocks=1,txs=64,dep=0.3,seed=1", "blocks1-txs64-dep0.30", "10f877b8c971a47ba855f5bf"},
+		{"blocks=1,txs=64,seed=1", "blocks=1,txs=64,dep=0.3,seed=1", "10f877b8c971a47ba855f5bf"},
 		// bench/workloads.go: token-dep30, erc20-bigblock, large-state, airdrop-stm.
-		{"txs=32,dep=0.3,blocks=400,seed=1", "blocks=400,txs=32,dep=0.3,seed=1", "blocks400-txs32-dep0.30", "f850a2ff94d5ade457d74104"},
-		{"scenario=erc20-mix,txs=192,skew=1.2,accounts=256,blocks=120,seed=1", "scenario=erc20-mix,blocks=120,txs=192,skew=1.2,seed=1,accounts=256", "erc20-mix-blocks120-txs192-skew1.20", "fd0c075d829be09d9d7a000d"},
-		{"txs=32,dep=0.3,accounts=4096,blocks=120,seed=1", "blocks=120,txs=32,dep=0.3,seed=1,accounts=4096", "blocks120-txs32-dep0.30", "46d90be995c49246fdd591ba"},
-		{"scenario=airdrop,txs=32,skew=1.2,blocks=300,seed=1", "scenario=airdrop,blocks=300,txs=32,skew=1.2,seed=1", "airdrop-blocks300-txs32-skew1.20", "e1e8b726141d0d47ba5134d4"},
+		{"txs=32,dep=0.3,blocks=400,seed=1", "blocks=400,txs=32,dep=0.3,seed=1", "f850a2ff94d5ade457d74104"},
+		{"scenario=erc20-mix,txs=192,skew=1.2,accounts=256,blocks=120,seed=1", "scenario=erc20-mix,blocks=120,txs=192,skew=1.2,seed=1,accounts=256", "fd0c075d829be09d9d7a000d"},
+		{"txs=32,dep=0.3,accounts=4096,blocks=120,seed=1", "blocks=120,txs=32,dep=0.3,seed=1,accounts=4096", "46d90be995c49246fdd591ba"},
+		{"scenario=airdrop,txs=32,skew=1.2,blocks=300,seed=1", "scenario=airdrop,blocks=300,txs=32,skew=1.2,seed=1", "e1e8b726141d0d47ba5134d4"},
 		// README scenario example.
-		{"scenario=dex,blocks=500,txs=32,skew=1.2,seed=1", "scenario=dex,blocks=500,txs=32,skew=1.2,seed=1", "dex-blocks500-txs32-skew1.20", "dca627abf5fe8117c38211c0"},
+		{"scenario=dex,blocks=500,txs=32,skew=1.2,seed=1", "scenario=dex,blocks=500,txs=32,skew=1.2,seed=1", "dca627abf5fe8117c38211c0"},
 		// Makefile scenario-smoke: the long pass and the -race pass per scenario.
-		{"scenario=erc20-mix,blocks=500,txs=16,skew=1.2,seed=7", "scenario=erc20-mix,blocks=500,txs=16,skew=1.2,seed=7", "erc20-mix-blocks500-txs16-skew1.20", "212f24ba3a2c7fa09fb59e3f"},
-		{"scenario=erc20-mix,blocks=24,txs=12,skew=1.2,seed=8", "scenario=erc20-mix,blocks=24,txs=12,skew=1.2,seed=8", "erc20-mix-blocks24-txs12-skew1.20", "b4e19cc2f3a05de6b75f32a0"},
-		{"scenario=dex,blocks=500,txs=16,skew=1.2,seed=7", "scenario=dex,blocks=500,txs=16,skew=1.2,seed=7", "dex-blocks500-txs16-skew1.20", "2293cc80e72cc23bb75b0c8b"},
-		{"scenario=dex,blocks=24,txs=12,skew=1.2,seed=8", "scenario=dex,blocks=24,txs=12,skew=1.2,seed=8", "dex-blocks24-txs12-skew1.20", "444873b4dce9c0e2d163f7a4"},
-		{"scenario=nft-mint,blocks=500,txs=16,skew=1.2,seed=7", "scenario=nft-mint,blocks=500,txs=16,skew=1.2,seed=7", "nft-mint-blocks500-txs16-skew1.20", "0c063129bd0e27f92e749fa7"},
-		{"scenario=nft-mint,blocks=24,txs=12,skew=1.2,seed=8", "scenario=nft-mint,blocks=24,txs=12,skew=1.2,seed=8", "nft-mint-blocks24-txs12-skew1.20", "1d848021fb4748be7918db60"},
-		{"scenario=airdrop,blocks=500,txs=16,skew=1.2,seed=7", "scenario=airdrop,blocks=500,txs=16,skew=1.2,seed=7", "airdrop-blocks500-txs16-skew1.20", "2f2eccfa3af794c1c1df3a7a"},
-		{"scenario=airdrop,blocks=24,txs=12,skew=1.2,seed=8", "scenario=airdrop,blocks=24,txs=12,skew=1.2,seed=8", "airdrop-blocks24-txs12-skew1.20", "dd68e0cd02b4d9e21b505b49"},
-		{"scenario=oracle,blocks=500,txs=16,skew=1.2,seed=7", "scenario=oracle,blocks=500,txs=16,skew=1.2,seed=7", "oracle-blocks500-txs16-skew1.20", "3f4a38fd975f979e559e1c74"},
-		{"scenario=oracle,blocks=24,txs=12,skew=1.2,seed=8", "scenario=oracle,blocks=24,txs=12,skew=1.2,seed=8", "oracle-blocks24-txs12-skew1.20", "a1cae5354dbe879770247eaf"},
+		{"scenario=erc20-mix,blocks=500,txs=16,skew=1.2,seed=7", "scenario=erc20-mix,blocks=500,txs=16,skew=1.2,seed=7", "212f24ba3a2c7fa09fb59e3f"},
+		{"scenario=erc20-mix,blocks=24,txs=12,skew=1.2,seed=8", "scenario=erc20-mix,blocks=24,txs=12,skew=1.2,seed=8", "b4e19cc2f3a05de6b75f32a0"},
+		{"scenario=dex,blocks=500,txs=16,skew=1.2,seed=7", "scenario=dex,blocks=500,txs=16,skew=1.2,seed=7", "2293cc80e72cc23bb75b0c8b"},
+		{"scenario=dex,blocks=24,txs=12,skew=1.2,seed=8", "scenario=dex,blocks=24,txs=12,skew=1.2,seed=8", "444873b4dce9c0e2d163f7a4"},
+		{"scenario=nft-mint,blocks=500,txs=16,skew=1.2,seed=7", "scenario=nft-mint,blocks=500,txs=16,skew=1.2,seed=7", "0c063129bd0e27f92e749fa7"},
+		{"scenario=nft-mint,blocks=24,txs=12,skew=1.2,seed=8", "scenario=nft-mint,blocks=24,txs=12,skew=1.2,seed=8", "1d848021fb4748be7918db60"},
+		{"scenario=airdrop,blocks=500,txs=16,skew=1.2,seed=7", "scenario=airdrop,blocks=500,txs=16,skew=1.2,seed=7", "2f2eccfa3af794c1c1df3a7a"},
+		{"scenario=airdrop,blocks=24,txs=12,skew=1.2,seed=8", "scenario=airdrop,blocks=24,txs=12,skew=1.2,seed=8", "dd68e0cd02b4d9e21b505b49"},
+		{"scenario=oracle,blocks=500,txs=16,skew=1.2,seed=7", "scenario=oracle,blocks=500,txs=16,skew=1.2,seed=7", "3f4a38fd975f979e559e1c74"},
+		{"scenario=oracle,blocks=24,txs=12,skew=1.2,seed=8", "scenario=oracle,blocks=24,txs=12,skew=1.2,seed=8", "a1cae5354dbe879770247eaf"},
 	}
 	for _, c := range cases {
 		spec, err := ParseSpec(c.in)
@@ -137,9 +135,6 @@ func TestGoldenShapes(t *testing.T) {
 		}
 		if got := spec.String(); got != c.str {
 			t.Errorf("%q: String() = %q, want %q", c.in, got, c.str)
-		}
-		if got := spec.Describe(); got != c.describe {
-			t.Errorf("%q: Describe() = %q, want %q", c.in, got, c.describe)
 		}
 		src, err := spec.OpenSource()
 		if err != nil {
